@@ -40,7 +40,6 @@ from .harness import (
     evaluate_miou,
     run_ablation_suite,
     run_experiment,
-    worker_count,
 )
 from .metrics import confusion_matrix, iou_per_class, miou, pixel_accuracy, trajectory_stats
 from .model import ModelConfig, TwoHeadModel, fuse_predictions, poly_lr, source_loss

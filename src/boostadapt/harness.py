@@ -20,7 +20,6 @@ off). All randomness flows through named substreams of the master seed.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -38,27 +37,13 @@ from .report import EpochRow, MetricsReport, SummaryRow, write_report, write_sum
 from .rng import substream, substream_seed
 from .uncertainty import ScoreVector, normalize_scores, score_dataset
 
-WORKERS_ENV = "BOOSTADAPT_WORKERS"
-
-ScoreFn = Callable[[TwoHeadModel, np.ndarray, Sequence[np.ndarray], str, int], ScoreVector]
+ScoreFn = Callable[[TwoHeadModel, np.ndarray, Sequence[np.ndarray], str], ScoreVector]
 
 REPORT_NAME = "report.csv"
 STUDENT_NAME = "student.abst"
 AGGREGATE_NAME = "aggregate.abst"
 DISTRIBUTIONS_NAME = "distributions.csv"
 SUMMARY_NAME = "summary.csv"
-
-
-def worker_count() -> int:
-    """Size of the per-image evaluation pool; 1 (serial) unless overridden."""
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise ValueError(f"{WORKERS_ENV} must be >= 1, got {n}")
-    return n
 
 
 @dataclass(frozen=True)
@@ -77,22 +62,15 @@ def dataset_confusion(
     params: np.ndarray,
     images: np.ndarray,
     labels: np.ndarray,
-    workers: int = 1,
 ) -> np.ndarray:
-    """Summed confusion matrix of fused eval-mode predictions over a dataset."""
+    """Summed confusion matrix of fused eval-mode predictions over a dataset,
+    reduced one ``model.forward_chunks`` chunk at a time."""
     classes = model.config.classes
-
-    def one(i: int) -> np.ndarray:
-        primary, aux = model.forward(params, images[i])
+    cm = np.zeros((classes, classes), dtype=np.int64)
+    for span, primary, aux in model.forward_chunks(params, images):
         pred = np.argmax(fuse_predictions(primary, aux), axis=-1)
-        return confusion_matrix(pred, labels[i], classes)
-
-    if workers <= 1:
-        mats = [one(i) for i in range(len(images))]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            mats = list(pool.map(one, range(len(images))))
-    return np.sum(mats, axis=0)
+        cm += confusion_matrix(pred, labels[span], classes)
+    return cm
 
 
 def evaluate_miou(
@@ -100,9 +78,8 @@ def evaluate_miou(
     params: np.ndarray,
     images: np.ndarray,
     labels: np.ndarray,
-    workers: int = 1,
 ) -> float:
-    return miou(dataset_confusion(model, params, images, labels, workers))
+    return miou(dataset_confusion(model, params, images, labels))
 
 
 def _persist(
@@ -156,7 +133,6 @@ def run_experiment(
     state is persisted before the error propagates."""
     out_dir = out_dir or cfg.out_dir
     variant = variant_label or f"{cfg.sampler}+{cfg.aggregation}"
-    workers = worker_count()
     model = TwoHeadModel(cfg.model_config())
 
     if data is None:
@@ -252,6 +228,7 @@ def run_experiment(
         last_good = params.copy()
 
         snap = aggregator.Snapshot(params=params.copy(), epoch=t)
+        student_tgt_cm = None
         if cfg.aggregation == "running-mean":
             aggregate_state = (
                 aggregator.init(snap)
@@ -270,10 +247,10 @@ def run_experiment(
             aggregate_params = aggregate_state.mean_params
         elif cfg.aggregation == "oracle-alpha":
             snapshots.append(snap)
-            cm = dataset_confusion(
-                model, snap.params, data.target_images, data.target_labels_heldout, workers
+            student_tgt_cm = dataset_confusion(
+                model, params, data.target_images, data.target_labels_heldout
             )
-            err = float(np.clip(1.0 - pixel_accuracy(cm), 1e-6, 1.0 - 1e-6))
+            err = float(np.clip(1.0 - pixel_accuracy(student_tgt_cm), 1e-6, 1.0 - 1e-6))
             oracle_errors.append(err)
             alphas = [aggregator.adaboost_alpha(e) for e in oracle_errors]
             if min(alphas) <= 0.0 or sum(alphas) <= 0.0:
@@ -289,24 +266,30 @@ def run_experiment(
             snapshots.append(snap)
 
         # distribution phase: aggregate held fixed while D is refreshed
-        scores = score_fn(model, aggregate_params, view.target_images, criterion, workers)
+        scores = score_fn(model, aggregate_params, view.target_images, criterion)
         used_entropy = float(entropy(dist.weights))
         mean_score = float(np.mean(scores.values))
         if cfg.sampler != "uniform":
             dist = sampler.update(dist, normalize_scores(scores, cfg.softmax_temperature))
 
-        student_src = evaluate_miou(
-            model, params, data.source_images, data.source_labels, workers
+        # each distinct (params, image set) is forwarded once per epoch: the
+        # scoring pass's predictions give the aggregate's target confusion
+        if scores.predicted is None:
+            raise ValueError("scorer returned no fused predictions")
+        aggregate_tgt_cm = confusion_matrix(
+            scores.predicted, data.target_labels_heldout, model.config.classes
         )
-        student_tgt = evaluate_miou(
-            model, params, data.target_images, data.target_labels_heldout, workers
-        )
-        if cfg.aggregation == "none":
-            aggregate_tgt = student_tgt
-        else:
-            aggregate_tgt = evaluate_miou(
-                model, aggregate_params, data.target_images, data.target_labels_heldout, workers
+        if student_tgt_cm is None:
+            student_tgt_cm = (
+                aggregate_tgt_cm
+                if np.array_equal(aggregate_params, params)
+                else dataset_confusion(
+                    model, params, data.target_images, data.target_labels_heldout
+                )
             )
+        student_src = evaluate_miou(model, params, data.source_images, data.source_labels)
+        student_tgt = miou(student_tgt_cm)
+        aggregate_tgt = miou(aggregate_tgt_cm)
         rows.append(
             EpochRow(
                 epoch=t,
@@ -343,8 +326,9 @@ def run_ablation_suite(
     variants: Sequence[str] = ABLATION_VARIANTS,
     out_dir: str | None = None,
 ) -> list[SummaryRow]:
-    """Run every (variant, seed) cell; a failed cell is recorded as NaN and the
-    suite continues. Within one seed all variants share the same dataset."""
+    """Run every (variant, seed) cell; a diverged cell is recorded as NaN and
+    the suite continues, any other error propagates. Within one seed all
+    variants share the same dataset."""
     if len(seeds) == 0:
         raise ValueError("need at least one seed")
     rows: list[SummaryRow] = []
@@ -365,7 +349,7 @@ def run_ablation_suite(
                         lastk_aggregate_std=summary.lastk_aggregate_std,
                     )
                 )
-            except Exception:
+            except DivergenceError:
                 rows.append(
                     SummaryRow(
                         variant=variant,

@@ -16,7 +16,7 @@ weights and bias.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -54,18 +54,19 @@ class ModelConfig:
 
 
 def _im2col(grid: np.ndarray, radius: int) -> np.ndarray:
-    """(H, W, D) -> (H*W, k*k*D) zero-padded square neighborhoods, k = 2r+1."""
-    h, w, d = grid.shape
+    """(..., H, W, D) -> (..., H*W, k*k*D) zero-padded square neighborhoods,
+    k = 2r+1; leading axes (an image stack) are carried through."""
+    *lead, h, w, d = grid.shape
     if radius == 0:
-        return grid.reshape(h * w, d)
+        return grid.reshape(*lead, h * w, d)
     k = 2 * radius + 1
-    padded = np.zeros((h + 2 * radius, w + 2 * radius, d))
-    padded[radius : radius + h, radius : radius + w] = grid
-    cols = np.empty((h, w, k, k, d))
+    padded = np.zeros((*lead, h + 2 * radius, w + 2 * radius, d))
+    padded[..., radius : radius + h, radius : radius + w, :] = grid
+    cols = np.empty((*lead, h, w, k, k, d))
     for dy in range(k):
         for dx in range(k):
-            cols[:, :, dy, dx, :] = padded[dy : dy + h, dx : dx + w, :]
-    return cols.reshape(h * w, k * k * d)
+            cols[..., dy, dx, :] = padded[..., dy : dy + h, dx : dx + w, :]
+    return cols.reshape(*lead, h * w, k * k * d)
 
 
 def _col2im(cols: np.ndarray, h: int, w: int, d: int, radius: int) -> np.ndarray:
@@ -79,6 +80,11 @@ def _col2im(cols: np.ndarray, h: int, w: int, d: int, radius: int) -> np.ndarray
         for dx in range(k):
             padded[dy : dy + h, dx : dx + w, :] += cols[:, :, dy, dx, :]
     return padded[radius : radius + h, radius : radius + w, :]
+
+
+# Budget for the stage-2 im2col columns of one eval-mode chunk of images:
+# with the chunk's other activations it stays inside a 2 MiB L2 cache.
+EVAL_CHUNK_BYTES = 1 << 20
 
 
 @dataclass
@@ -119,6 +125,10 @@ class TwoHeadModel:
         offsets = np.cumsum([0] + [int(np.prod(s)) for _, s, _ in self._sections])
         self._offsets = offsets
         self.param_count = int(offsets[-1])
+        # images per chunk of ``forward_chunks``: 7 at 16x16, 1 at 32x32
+        # with the default widths
+        col_bytes = c.height * c.width * in2 * np.dtype(np.float64).itemsize
+        self.eval_chunk = max(1, EVAL_CHUNK_BYTES // col_bytes)
 
     def init_params(self, seed: int) -> np.ndarray:
         """Scaled-uniform init, bound 1/sqrt(fan_in) per layer. Deterministic."""
@@ -155,14 +165,13 @@ class TwoHeadModel:
         mask_p = (rng.random(self.config.hidden2) < keep).astype(np.float64) / keep
         return mask_a, mask_p
 
-    def _check_image(self, image: np.ndarray) -> np.ndarray:
+    def _check_image(self, image: np.ndarray, stack: bool = False) -> np.ndarray:
+        """One (H, W, F) image, or with ``stack`` also an (N, H, W, F) stack."""
         c = self.config
         image = np.asarray(image, dtype=np.float64)
-        if image.shape != (c.height, c.width, c.features):
-            raise ValueError(
-                f"expected image of shape {(c.height, c.width, c.features)}, "
-                f"got {image.shape}"
-            )
+        shape = (c.height, c.width, c.features)
+        if image.shape[-3:] != shape or image.ndim not in ((3, 4) if stack else (3,)):
+            raise ValueError(f"expected image of shape {shape}, got {image.shape}")
         return image
 
     def _forward_cache(
@@ -176,7 +185,8 @@ class TwoHeadModel:
         mask_a, mask_p = masks
         patches1 = _im2col(image, c.r_aux)
         act1 = np.tanh(patches1 @ w1 + b1)
-        patches2 = _im2col(act1.reshape(c.height, c.width, c.hidden1), c.r_primary)
+        lead = image.shape[:-3]
+        patches2 = _im2col(act1.reshape(*lead, c.height, c.width, c.hidden1), c.r_primary)
         act2 = np.tanh(patches2 @ w2 + b2)
         head_in_a = act1 if mask_a is None else act1 * mask_a
         head_in_p = act2 if mask_p is None else act2 * mask_p
@@ -238,14 +248,27 @@ class TwoHeadModel:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per-pixel class probabilities, (primary, aux), each (H, W, C).
 
-        ``dropout_seed=None`` is eval mode (dropout off); an integer seed
-        draws the train-mode head masks deterministically.
+        ``image`` may also be an (N, H, W, F) stack, giving (N, H, W, C) maps
+        equal bit for bit to N single-image calls. ``dropout_seed=None`` is
+        eval mode (dropout off); an integer seed draws the train-mode head
+        masks deterministically, shared by every image of a stack.
         """
         c = self.config
-        image = self._check_image(image)
+        image = self._check_image(image, stack=True)
         cache = self._forward_cache(params, image, self._head_masks(dropout_seed))
-        shape = (c.height, c.width, c.classes)
+        shape = (*image.shape[:-3], c.height, c.width, c.classes)
         return cache.probs_p.reshape(shape), cache.probs_a.reshape(shape)
+
+    def forward_chunks(
+        self, params: np.ndarray, images: Sequence[np.ndarray]
+    ) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+        """Eval-mode ``forward`` over a dataset, ``eval_chunk`` images at a
+        time: yields (slice of ``images``, primary, aux) per chunk, so the
+        caller reduces each chunk before the next one is computed."""
+        for lo in range(0, len(images), self.eval_chunk):
+            span = slice(lo, lo + self.eval_chunk)
+            primary, aux = self.forward(params, images[span])
+            yield span, primary, aux
 
     def _check_labels(self, labels: np.ndarray) -> np.ndarray:
         c = self.config

@@ -10,13 +10,12 @@ distribution.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .model import TwoHeadModel
+from .model import TwoHeadModel, fuse_predictions
 from .numerics import entropy, kl_pointwise, softmax
 
 CRITERIA = ("kl-variance", "entropy")
@@ -26,6 +25,9 @@ CRITERIA = ("kl-variance", "entropy")
 class ScoreVector:
     values: np.ndarray
     criterion: str
+    # (N, H, W) argmax of the fused prediction the scoring pass computed, so
+    # evaluating the scored params on the same images needs no second pass
+    predicted: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.criterion not in CRITERIA:
@@ -52,37 +54,26 @@ def entropy_image(primary: np.ndarray) -> float:
     return float(np.mean(entropy(primary)))
 
 
-def _score_one(model: TwoHeadModel, params: np.ndarray, image: np.ndarray, criterion: str) -> float:
-    primary, aux = model.forward(params, image)  # eval mode: dropout off
-    if criterion == "kl-variance":
-        return kl_variance_image(primary, aux)
-    return entropy_image(primary)
-
-
 def score_dataset(
     model: TwoHeadModel,
     params: np.ndarray,
     images: Sequence[np.ndarray],
     criterion: str = "kl-variance",
-    workers: int = 1,
 ) -> ScoreVector:
-    """Eval-mode score per image. ``workers`` > 1 fans out over a thread pool
-    with pre-assigned output slots, so results are identical to serial runs."""
+    """Eval-mode score and fused per-pixel prediction of every image, one
+    ``model.forward_chunks`` chunk at a time."""
     if criterion not in CRITERIA:
         raise ValueError(f"unknown criterion {criterion!r}; known: {CRITERIA}")
     if len(images) == 0:
         raise ValueError("empty image list")
+    c = model.config
     values = np.empty(len(images))
-    if workers <= 1:
-        for i, image in enumerate(images):
-            values[i] = _score_one(model, params, image, criterion)
-    else:
-        def fill(i: int) -> None:
-            values[i] = _score_one(model, params, images[i], criterion)
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, range(len(images))))
-    return ScoreVector(values=values, criterion=criterion)
+    predicted = np.empty((len(images), c.height, c.width), dtype=np.int64)
+    for span, primary, aux in model.forward_chunks(params, images):
+        per_pixel = kl_pointwise(primary, aux) if criterion == "kl-variance" else entropy(primary)
+        values[span] = per_pixel.reshape(len(primary), -1).mean(axis=1)
+        predicted[span] = np.argmax(fuse_predictions(primary, aux), axis=-1)
+    return ScoreVector(values=values, criterion=criterion, predicted=predicted)
 
 
 def normalize_scores(

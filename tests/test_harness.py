@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from boostadapt.aggregator import adaboost_alpha, weighted_combine
+from boostadapt.config import VARIANT_PRESETS, apply_variant
 from boostadapt.data import generate_domain_pair
 from boostadapt.errors import DivergenceError
 from boostadapt.harness import (
@@ -14,9 +15,9 @@ from boostadapt.harness import (
     evaluate_miou,
     run_ablation_suite,
     run_experiment,
-    worker_count,
 )
-from boostadapt.metrics import pixel_accuracy
+from boostadapt.metrics import confusion_matrix, pixel_accuracy
+from boostadapt.model import ModelConfig, TwoHeadModel, fuse_predictions
 from boostadapt.paramio import ROLE_AGGREGATE, ROLE_STUDENT, load_file
 from boostadapt.report import read_report
 from boostadapt.rng import substream_seed
@@ -34,10 +35,10 @@ class RecordingScorer:
         self.criteria = []
         self.scores = []
 
-    def __call__(self, model, params, images, criterion, workers):
+    def __call__(self, model, params, images, criterion):
         self.params.append(np.array(params))
         self.criteria.append(criterion)
-        sv = score_dataset(model, params, images, criterion, workers)
+        sv = score_dataset(model, params, images, criterion)
         self.scores.append(sv.values.copy())
         return sv
 
@@ -162,6 +163,21 @@ class TestAggregationVariants:
         res = run_experiment(cfg)
         np.testing.assert_allclose(res.aggregate, res.student, rtol=1e-6, atol=1e-9)
 
+    @pytest.mark.parametrize(
+        "aggregation", ["running-mean", "momentum", "ema", "oracle-alpha", "none"]
+    )
+    def test_reported_miou_matches_recomputed_evaluation(self, aggregation):
+        # scoring doubles as the aggregate's target evaluation; the report
+        # must still read as if student and aggregate were evaluated afresh
+        cfg = small_experiment_config(epochs=3, aggregation=aggregation)
+        res = run_experiment(cfg)
+        data_seed = substream_seed(cfg.seed, "data")
+        pair = generate_domain_pair(dataclasses.replace(cfg.shift, seed=data_seed))
+        last = res.report.rows[-1]
+        images, labels = pair.target_images, pair.target_labels_heldout
+        assert last.student_tgt_miou == evaluate_miou(res.model, res.student, images, labels)
+        assert last.aggregate_tgt_miou == evaluate_miou(res.model, res.aggregate, images, labels)
+
     def test_oracle_alpha_matches_recomputation(self):
         cfg = small_experiment_config(epochs=3, aggregation="oracle-alpha")
         res = run_experiment(cfg)
@@ -183,33 +199,21 @@ class TestAggregationVariants:
 
 class TestDeterminism:
     def test_same_config_same_bytes(self, tmp_path):
-        cfg = small_experiment_config(epochs=3, seed=11)
-        out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
-        run_experiment(cfg, out_dir=out1)
-        run_experiment(cfg, out_dir=out2)
-        for name in ("report.csv", "student.abst", "aggregate.abst"):
-            b1 = open(os.path.join(out1, name), "rb").read()
-            b2 = open(os.path.join(out2, name), "rb").read()
-            assert b1 == b2, name
+        for variant in VARIANT_PRESETS:
+            cfg = apply_variant(small_experiment_config(epochs=3, seed=11), variant)
+            out1, out2 = str(tmp_path / variant / "a"), str(tmp_path / variant / "b")
+            run_experiment(cfg, out_dir=out1)
+            run_experiment(cfg, out_dir=out2)
+            for name in ("report.csv", "student.abst", "aggregate.abst"):
+                b1 = open(os.path.join(out1, name), "rb").read()
+                b2 = open(os.path.join(out2, name), "rb").read()
+                assert b1 == b2, (variant, name)
 
     def test_different_seed_different_trajectory(self):
         cfg = small_experiment_config(epochs=2)
         r1 = run_experiment(dataclasses.replace(cfg, seed=1))
         r2 = run_experiment(dataclasses.replace(cfg, seed=2))
         assert np.any(r1.student != r2.student)
-
-    def test_worker_pool_does_not_change_results(self, tmp_path, monkeypatch):
-        cfg = small_experiment_config(epochs=2, seed=4)
-        out1, out2 = str(tmp_path / "serial"), str(tmp_path / "pooled")
-        monkeypatch.delenv("BOOSTADAPT_WORKERS", raising=False)
-        run_experiment(cfg, out_dir=out1)
-        monkeypatch.setenv("BOOSTADAPT_WORKERS", "4")
-        assert worker_count() == 4
-        run_experiment(cfg, out_dir=out2)
-        assert (
-            open(os.path.join(out1, "report.csv")).read()
-            == open(os.path.join(out2, "report.csv")).read()
-        )
 
     def test_explicit_data_matches_derived_data(self):
         # the harness derives the dataset seed from the master seed's data
@@ -221,14 +225,6 @@ class TestDeterminism:
         r_implicit = run_experiment(cfg)
         r_explicit = run_experiment(cfg, data=pair)
         assert r_implicit.report.rows == r_explicit.report.rows
-
-    def test_bad_worker_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("BOOSTADAPT_WORKERS", "zero")
-        with pytest.raises(ValueError):
-            worker_count()
-        monkeypatch.setenv("BOOSTADAPT_WORKERS", "0")
-        with pytest.raises(ValueError):
-            worker_count()
 
 
 class TestDivergenceHandling:
@@ -296,6 +292,20 @@ class TestArtifacts:
 
 
 class TestEvaluation:
+    def test_dataset_confusion_equals_sum_of_per_image_matrices(self):
+        cfg = ModelConfig(classes=3)
+        model = TwoHeadModel(cfg)
+        rng = np.random.default_rng(8)
+        n = model.eval_chunk + 2  # the last chunk is short
+        images = rng.normal(0.0, 1.0, (n, cfg.height, cfg.width, cfg.features))
+        labels = rng.integers(0, cfg.classes, (n, cfg.height, cfg.width))
+        params = model.init_params(2)
+        want = np.zeros((cfg.classes, cfg.classes), dtype=np.int64)
+        for image, gt in zip(images, labels):
+            pred = np.argmax(fuse_predictions(*model.forward(params, image)), axis=-1)
+            want += confusion_matrix(pred, gt, cfg.classes)
+        assert np.array_equal(dataset_confusion(model, params, images, labels), want)
+
     def test_evaluate_miou_perfect_on_trivial_labels(self):
         # sanity: evaluating ground-truth-as-prediction is impossible here,
         # but a constant-label dataset pins the confusion matrix shape
@@ -356,6 +366,23 @@ class TestAblationSuite:
         assert np.isnan(rows[1].final_student_miou)
         assert np.isfinite(rows[0].final_student_miou)
         assert np.isfinite(rows[2].final_student_miou)
+
+    def test_programming_error_propagates(self, monkeypatch):
+        import boostadapt.harness as harness_mod
+
+        real = harness_mod.run_experiment
+        calls = {"n": 0}
+
+        def buggy(cfg, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise ValueError("injected bug")
+            return real(cfg, **kwargs)
+
+        monkeypatch.setattr(harness_mod, "run_experiment", buggy)
+        cfg = small_experiment_config(epochs=2, iters_per_epoch=2, eval_last_k=1)
+        with pytest.raises(ValueError, match="injected bug"):
+            harness_mod.run_ablation_suite(cfg, seeds=[1, 2])
 
     def test_empty_seed_list_rejected(self):
         with pytest.raises(ValueError):

@@ -131,6 +131,29 @@ class TestForward:
             model.forward(params, np.zeros((cfg.height + 1, cfg.width, cfg.features)))
         with pytest.raises(ValueError):
             model.forward(params[:-1], np.zeros((cfg.height, cfg.width, cfg.features)))
+        with pytest.raises(ValueError):
+            model.forward(params, np.zeros((1, 1, cfg.height, cfg.width, cfg.features)))
+
+    @pytest.mark.parametrize(
+        "cfg, chunk", [(ModelConfig(), 7), (ModelConfig(height=32, width=32), 1)]
+    )
+    def test_stack_and_chunks_equal_per_image_loop(self, cfg, chunk):
+        model = TwoHeadModel(cfg)
+        assert model.eval_chunk == chunk
+        n = 2 * chunk + 1  # the last chunk is short
+        rng = np.random.default_rng(12)
+        params = model.init_params(5)
+        images = rng.normal(0.0, 2.0, (n, cfg.height, cfg.width, cfg.features))
+        loop = [model.forward(params, image) for image in images]
+        want_p = np.stack([p for p, _ in loop])
+        want_a = np.stack([a for _, a in loop])
+        primary, aux = model.forward(params, images)
+        assert np.array_equal(primary, want_p) and np.array_equal(aux, want_a)
+        covered = []
+        for span, primary, aux in model.forward_chunks(params, images):
+            assert np.array_equal(primary, want_p[span]) and np.array_equal(aux, want_a[span])
+            covered.extend(range(n)[span])
+        assert covered == list(range(n))
 
 
 class TestLoss:

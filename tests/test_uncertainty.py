@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from boostadapt.model import TwoHeadModel
+from boostadapt.model import ModelConfig, TwoHeadModel, fuse_predictions
 from boostadapt.numerics import kl_pointwise, softmax
 from boostadapt.uncertainty import (
     ScoreVector,
@@ -95,27 +95,25 @@ class TestScoreVector:
 
 class TestScoreDataset:
     def test_matches_per_image_calls(self):
-        cfg = small_model_config()
+        cfg = ModelConfig(classes=3)
         model = TwoHeadModel(cfg)
         rng = np.random.default_rng(4)
         params = model.init_params(0)
-        images = [random_image(rng, cfg) for _ in range(7)]
-        sv = score_dataset(model, params, images, "kl-variance")
-        assert sv.criterion == "kl-variance"
-        for i, image in enumerate(images):
-            primary, aux = model.forward(params, image)
-            np.testing.assert_allclose(sv.values[i], kl_variance_image(primary, aux), atol=1e-12)
-
-    def test_worker_pool_identical_to_serial(self):
-        cfg = small_model_config()
-        model = TwoHeadModel(cfg)
-        rng = np.random.default_rng(5)
-        params = model.init_params(1)
-        images = [random_image(rng, cfg) for _ in range(9)]
+        images = [random_image(rng, cfg) for _ in range(model.eval_chunk + 3)]
         for criterion in ("kl-variance", "entropy"):
-            serial = score_dataset(model, params, images, criterion, workers=1)
-            pooled = score_dataset(model, params, images, criterion, workers=4)
-            np.testing.assert_array_equal(serial.values, pooled.values)
+            sv = score_dataset(model, params, images, criterion)
+            assert sv.criterion == criterion
+            for i, image in enumerate(images):
+                primary, aux = model.forward(params, image)
+                want = (
+                    kl_variance_image(primary, aux)
+                    if criterion == "kl-variance"
+                    else entropy_image(primary)
+                )
+                assert sv.values[i] == want
+                assert np.array_equal(
+                    sv.predicted[i], np.argmax(fuse_predictions(primary, aux), axis=-1)
+                )
 
     def test_rejects_unknown_criterion_and_empty(self):
         model = TwoHeadModel(small_model_config())
