@@ -45,7 +45,6 @@ from .metrics import confusion_matrix, iou_per_class, miou, pixel_accuracy, traj
 from .model import ModelConfig, TwoHeadModel, fuse_predictions, poly_lr, source_loss
 from .numerics import (
     cross_entropy,
-    cross_entropy_logits,
     entropy,
     finite_difference_gradient,
     kl_pointwise,

@@ -123,21 +123,3 @@ def weighted_combine(snapshots: Sequence[Snapshot], alphas: Sequence[float]) -> 
 
 def save_aggregate(path: str, state: AggregateState) -> None:
     paramio.save_snapshot(path, state.mean_params, paramio.ROLE_AGGREGATE, state.count)
-
-
-def load_aggregate(path: str) -> AggregateState:
-    info = paramio.load_file(path)
-    if info.role != paramio.ROLE_AGGREGATE or info.seq is None:
-        raise ValueError(f"{path} is not an aggregate snapshot")
-    return AggregateState(mean_params=info.params, count=info.seq)
-
-
-def save_student(path: str, snap: Snapshot) -> None:
-    paramio.save_snapshot(path, snap.params, paramio.ROLE_STUDENT, snap.epoch)
-
-
-def load_student(path: str) -> Snapshot:
-    info = paramio.load_file(path)
-    if info.role != paramio.ROLE_STUDENT or info.seq is None:
-        raise ValueError(f"{path} is not a student snapshot")
-    return Snapshot(params=info.params, epoch=info.seq)

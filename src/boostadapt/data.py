@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -225,7 +225,3 @@ def import_domain_pair(in_dir: str) -> DomainPair:
         if lab.size and (lab.min() < 0 or lab.max() >= cfg.classes):
             raise FormatError(f"array {name!r} has labels outside [0, {cfg.classes})")
     return DomainPair(config=cfg, **loaded)
-
-
-def with_seed(cfg: ShiftConfig, seed: int) -> ShiftConfig:
-    return replace(cfg, seed=seed)

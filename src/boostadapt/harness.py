@@ -53,7 +53,7 @@ class RunResult:
     aggregate: np.ndarray
     distribution: sampler.SampleDistribution
     distributions: tuple[np.ndarray, ...]  # D_t used in epoch t, t = 1..T1
-    snapshots: tuple[aggregator.Snapshot, ...] | None
+    snapshots: tuple[aggregator.Snapshot, ...]  # student at the end of epoch t, t = 1..T1
     model: TwoHeadModel
 
 
@@ -126,7 +126,6 @@ def run_experiment(
     scorer: ScoreFn | None = None,
     regularizer: RegularizerHook | None = None,
     out_dir: str | None = None,
-    keep_snapshots: bool = False,
 ) -> RunResult:
     """Run one experiment. Writes report + snapshots when an out dir is given
     (argument wins over ``cfg.out_dir``); on divergence the last epoch-end
@@ -195,12 +194,12 @@ def run_experiment(
     aggregate_params = params
     last_good = params.copy()
     lr = poly_lr(step, total_iter, cfg.lr0)
+    if cfg.aggregation == "ema":
+        # teacher starts as a copy of the student entering adaptation
+        aggregate_state = aggregator.AggregateState(mean_params=params.copy(), count=1)
 
     for t in range(1, cfg.epochs + 1):
         dist_trace.append(dist.weights.copy())
-        if cfg.aggregation == "ema" and aggregate_state is None:
-            # teacher starts as a copy of the student entering adaptation
-            aggregate_state = aggregator.AggregateState(mean_params=params.copy(), count=1)
         for i in range(cfg.iters_per_epoch):
             lr = poly_lr(step, total_iter, cfg.lr0)
             batch = source_batch()
@@ -228,6 +227,7 @@ def run_experiment(
         last_good = params.copy()
 
         snap = aggregator.Snapshot(params=params.copy(), epoch=t)
+        snapshots.append(snap)
         student_tgt_cm = None
         if cfg.aggregation == "running-mean":
             aggregate_state = (
@@ -246,7 +246,6 @@ def run_experiment(
         elif cfg.aggregation == "ema":
             aggregate_params = aggregate_state.mean_params
         elif cfg.aggregation == "oracle-alpha":
-            snapshots.append(snap)
             student_tgt_cm = dataset_confusion(
                 model, params, data.target_images, data.target_labels_heldout
             )
@@ -262,8 +261,6 @@ def run_experiment(
             aggregate_params = combined
         else:  # "none"
             aggregate_params = params
-        if keep_snapshots and cfg.aggregation != "oracle-alpha":
-            snapshots.append(snap)
 
         # distribution phase: aggregate held fixed while D is refreshed
         scores = score_fn(model, aggregate_params, view.target_images, criterion)
@@ -315,7 +312,7 @@ def run_experiment(
         aggregate=aggregate_params,
         distribution=dist,
         distributions=tuple(dist_trace),
-        snapshots=tuple(snapshots) if (keep_snapshots or cfg.aggregation == "oracle-alpha") else None,
+        snapshots=tuple(snapshots),
         model=model,
     )
 

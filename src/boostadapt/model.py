@@ -16,7 +16,7 @@ weights and bias.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -281,34 +281,32 @@ class TwoHeadModel:
             raise IndexError("label out of class range")
         return labels.astype(np.int64)
 
-    def loss(
+    def value_and_grad(
         self,
         params: np.ndarray,
-        batch: Sequence[tuple[np.ndarray, np.ndarray]],
-        aux_weight: float | None = None,
+        images: Sequence[np.ndarray],
+        head_terms: Callable[[int, _ForwardCache], tuple[float, np.ndarray, np.ndarray]],
         dropout_seed: int | None = None,
-    ) -> float:
-        """Mean over batch of (pixel-mean primary CE + aux_weight * aux CE).
+    ) -> tuple[float, np.ndarray]:
+        """Sum of per-image loss terms over ``images`` and its gradient.
 
-        Uses the fused log-softmax path; same masks as ``loss_and_grad`` for
-        the same ``dropout_seed``.
+        The one training forward/backward loop. Each image is forwarded on
+        its own, in order, so gradient sums keep a fixed order; then
+        ``head_terms(i, cache)`` returns image ``i``'s loss term and dloss/
+        dlogits of the primary and aux heads, each (H*W, C). The head masks
+        of ``dropout_seed`` (None: eval mode) are drawn once per call.
         """
-        if len(batch) == 0:
-            raise ValueError("empty batch")
         if not np.all(np.isfinite(params)):
             raise DivergenceError("non-finite parameters")
-        lam = self.config.aux_loss_weight if aux_weight is None else aux_weight
         masks = self._head_masks(dropout_seed)
         total = 0.0
-        for image, labels in batch:
-            image = self._check_image(image)
-            flat = self._check_labels(labels).reshape(-1)
-            cache = self._forward_cache(params, image, masks)
-            rows = np.arange(flat.size)
-            ce_p = -log_softmax(cache.logits_p)[rows, flat].mean()
-            ce_a = -log_softmax(cache.logits_a)[rows, flat].mean()
-            total += ce_p + lam * ce_a
-        return float(total / len(batch))
+        grad = np.zeros(self.param_count)
+        for i, image in enumerate(images):
+            cache = self._forward_cache(params, self._check_image(image), masks)
+            term, dlogits_p, dlogits_a = head_terms(i, cache)
+            total += term
+            grad += self._backward(params, cache, dlogits_p, dlogits_a, masks)
+        return float(total), grad
 
     def loss_and_grad(
         self,
@@ -317,30 +315,28 @@ class TwoHeadModel:
         aux_weight: float | None = None,
         dropout_seed: int | None = None,
     ) -> tuple[float, np.ndarray]:
+        """Mean over batch of (pixel-mean primary CE + aux_weight * aux CE),
+        through the fused log-softmax path, and its gradient."""
         if len(batch) == 0:
             raise ValueError("empty batch")
-        if not np.all(np.isfinite(params)):
-            raise DivergenceError("non-finite parameters")
         lam = self.config.aux_loss_weight if aux_weight is None else aux_weight
-        masks = self._head_masks(dropout_seed)
         n_pix = self.config.height * self.config.width
         n = len(batch)
-        total = 0.0
-        grad = np.zeros(self.param_count)
-        for image, labels in batch:
-            image = self._check_image(image)
-            flat = self._check_labels(labels).reshape(-1)
-            cache = self._forward_cache(params, image, masks)
-            rows = np.arange(flat.size)
+        flats = [self._check_labels(labels).reshape(-1) for _, labels in batch]
+        rows = np.arange(n_pix)
+
+        def head_terms(i: int, cache: _ForwardCache) -> tuple[float, np.ndarray, np.ndarray]:
+            flat = flats[i]
             ce_p = -log_softmax(cache.logits_p)[rows, flat].mean()
             ce_a = -log_softmax(cache.logits_a)[rows, flat].mean()
-            total += (ce_p + lam * ce_a) / n
             onehot = np.zeros((n_pix, self.config.classes))
             onehot[rows, flat] = 1.0
             dlogits_p = (cache.probs_p - onehot) / (n_pix * n)
             dlogits_a = lam * (cache.probs_a - onehot) / (n_pix * n)
-            grad += self._backward(params, cache, dlogits_p, dlogits_a, masks)
-        return float(total), grad
+            return (ce_p + lam * ce_a) / n, dlogits_p, dlogits_a
+
+        images = [image for image, _ in batch]
+        return self.value_and_grad(params, images, head_terms, dropout_seed)
 
     def grad_step(
         self,

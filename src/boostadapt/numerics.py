@@ -14,37 +14,31 @@ import numpy as np
 EPS = 1e-12
 
 
-def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Max-subtracted softmax along ``axis``.
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Max-subtracted softmax along the last axis.
 
     Rejects non-finite inputs and vectors with fewer than two entries.
     """
     z = np.asarray(logits, dtype=np.float64)
-    if z.shape[axis] < 2:
-        raise ValueError("softmax needs at least two entries along the reduced axis")
+    if z.shape[-1] < 2:
+        raise ValueError("softmax needs at least two entries along the last axis")
     if not np.all(np.isfinite(z)):
         raise ValueError("softmax: non-finite logits")
-    z = z - z.max(axis=axis, keepdims=True)
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Fused log softmax; numerically safe for use inside training losses."""
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Fused log softmax along the last axis; numerically safe for use
+    inside training losses."""
     z = np.asarray(logits, dtype=np.float64)
-    if z.shape[axis] < 2:
-        raise ValueError("log_softmax needs at least two entries along the reduced axis")
+    if z.shape[-1] < 2:
+        raise ValueError("log_softmax needs at least two entries along the last axis")
     if not np.all(np.isfinite(z)):
         raise ValueError("log_softmax: non-finite logits")
-    z = z - z.max(axis=axis, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
-
-
-def _check_label(label: int, count: int) -> int:
-    label = int(label)
-    if not 0 <= label < count:
-        raise IndexError(f"label {label} out of range for {count} classes")
-    return label
+    z = z - z.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 def cross_entropy(pred: np.ndarray, label: int) -> float:
@@ -52,21 +46,14 @@ def cross_entropy(pred: np.ndarray, label: int) -> float:
     p = np.asarray(pred, dtype=np.float64)
     if p.ndim != 1:
         raise ValueError("cross_entropy expects a 1-d probability vector")
-    label = _check_label(label, p.shape[0])
+    label = int(label)
+    if not 0 <= label < p.shape[0]:
+        raise IndexError(f"label {label} out of range for {p.shape[0]} classes")
     return float(-np.log(max(p[label], EPS)))
 
 
-def cross_entropy_logits(logits: np.ndarray, label: int) -> float:
-    """Cross-entropy straight from logits via the fused log-softmax path."""
-    z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 1:
-        raise ValueError("cross_entropy_logits expects a 1-d logit vector")
-    label = _check_label(label, z.shape[0])
-    return float(-log_softmax(z)[label])
-
-
-def kl_pointwise(p: np.ndarray, q: np.ndarray, axis: int = -1) -> np.ndarray | float:
-    """KL(p || q) summed along ``axis``, with 0*log(0) = 0 and q clamped at EPS.
+def kl_pointwise(p: np.ndarray, q: np.ndarray) -> np.ndarray | float:
+    """KL(p || q) summed along the last axis, with 0*log(0) = 0 and q clamped at EPS.
 
     Scalar for a pair of vectors; an array of the leading shape for maps.
     Clamping q can push the sum a hair below zero, so the result is floored
@@ -79,15 +66,15 @@ def kl_pointwise(p: np.ndarray, q: np.ndarray, axis: int = -1) -> np.ndarray | f
     qc = np.maximum(qa, EPS)
     ratio = np.maximum(pa, EPS) / qc
     terms = np.where(pa > 0.0, pa * np.log(ratio), 0.0)
-    out = np.maximum(terms.sum(axis=axis), 0.0)
+    out = np.maximum(terms.sum(axis=-1), 0.0)
     return float(out) if np.ndim(out) == 0 else out
 
 
-def entropy(p: np.ndarray, axis: int = -1) -> np.ndarray | float:
-    """Shannon entropy -sum p log p along ``axis``, with 0*log(0) = 0."""
+def entropy(p: np.ndarray) -> np.ndarray | float:
+    """Shannon entropy -sum p log p along the last axis, with 0*log(0) = 0."""
     pa = np.asarray(p, dtype=np.float64)
     terms = np.where(pa > 0.0, pa * np.log(np.maximum(pa, EPS)), 0.0)
-    out = -terms.sum(axis=axis)
+    out = -terms.sum(axis=-1)
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -3,9 +3,12 @@
 The training loop treats the regularizer as an opaque term: given the current
 parameters and the drawn target batch it returns (loss, gradient) and the
 gradient is added to the labeled-source gradient. The default hook returns an
-exact zero so the base method trains on source supervision alone; an optional
-entropy-minimization hook is provided to exercise the contract with a real
-consumer of the adaptively sampled batches.
+exact zero so the base method trains on source supervision alone. The
+entropy-minimization and self-training hooks are each a ``head_terms``
+callback on ``TwoHeadModel.value_and_grad``, the model's one forward/backward
+loop: they give a per-image loss term and its dloss/dlogits from an eval-mode
+forward, and like that loop they raise ``DivergenceError`` on non-finite
+parameters.
 """
 
 from __future__ import annotations
@@ -36,24 +39,18 @@ def entropy_min_regularizer(model: TwoHeadModel, weight: float) -> RegularizerHo
     """
     if weight < 0.0:
         raise ValueError("weight must be >= 0")
+    n_pix = model.config.height * model.config.width
 
     def hook(params: np.ndarray, images: Sequence[np.ndarray]) -> tuple[float, np.ndarray]:
-        if len(images) == 0:
-            return 0.0, np.zeros(model.param_count)
-        n_pix = model.config.height * model.config.width
         n = len(images)
-        masks = (None, None)
-        total = 0.0
-        grad = np.zeros(model.param_count)
-        for image in images:
-            cache = model._forward_cache(params, np.asarray(image, dtype=np.float64), masks)
+
+        def head_terms(i: int, cache) -> tuple[float, np.ndarray, np.ndarray]:
             h = entropy(cache.probs_p)  # (H*W,)
-            total += weight * float(np.mean(h)) / n
             logp = np.log(np.maximum(cache.probs_p, 1e-12))
             dlogits_p = -weight * cache.probs_p * (logp + h[:, None]) / (n_pix * n)
-            dlogits_a = np.zeros_like(cache.probs_a)
-            grad += model._backward(params, cache, dlogits_p, dlogits_a, masks)
-        return total, grad
+            return weight * float(np.mean(h)) / n, dlogits_p, np.zeros_like(cache.probs_a)
+
+        return model.value_and_grad(params, images, head_terms)
 
     return hook
 
@@ -67,28 +64,23 @@ def self_training_regularizer(model: TwoHeadModel, weight: float) -> Regularizer
     """
     if weight < 0.0:
         raise ValueError("weight must be >= 0")
+    n_pix = model.config.height * model.config.width
+    classes = model.config.classes
 
     def hook(params: np.ndarray, images: Sequence[np.ndarray]) -> tuple[float, np.ndarray]:
-        if len(images) == 0:
-            return 0.0, np.zeros(model.param_count)
-        n_pix = model.config.height * model.config.width
-        classes = model.config.classes
         n = len(images)
-        masks = (None, None)
-        total = 0.0
-        grad = np.zeros(model.param_count)
-        for image in images:
-            cache = model._forward_cache(params, np.asarray(image, dtype=np.float64), masks)
+
+        def head_terms(i: int, cache) -> tuple[float, np.ndarray, np.ndarray]:
             fused = cache.probs_p + cache.probs_a
             labels = np.argmax(fused, axis=1)  # (H*W,)
             picked = cache.probs_p[np.arange(labels.size), labels]
-            total += -weight * float(np.mean(np.log(np.maximum(picked, 1e-12)))) / n
+            term = -weight * float(np.mean(np.log(np.maximum(picked, 1e-12)))) / n
             onehot = np.zeros((labels.size, classes))
             onehot[np.arange(labels.size), labels] = 1.0
             dlogits_p = weight * (cache.probs_p - onehot) / (n_pix * n)
-            dlogits_a = np.zeros_like(cache.probs_a)
-            grad += model._backward(params, cache, dlogits_p, dlogits_a, masks)
-        return total, grad
+            return term, dlogits_p, np.zeros_like(cache.probs_a)
+
+        return model.value_and_grad(params, images, head_terms)
 
     return hook
 

@@ -154,7 +154,7 @@ def test_criterion_04_gradients_match_finite_differences(announce):
         dropout_seed = None if trial % 2 == 0 else 1000 + trial
         _, grad = model.loss_and_grad(params, [(image, labels)], dropout_seed=dropout_seed)
         fd = finite_difference_gradient(
-            lambda p: model.loss(p, [(image, labels)], dropout_seed=dropout_seed),
+            lambda p: model.loss_and_grad(p, [(image, labels)], dropout_seed=dropout_seed)[0],
             params,
             eps=1e-5,
         )

@@ -3,15 +3,13 @@
 import numpy as np
 import pytest
 
+from boostadapt import paramio
 from boostadapt.aggregator import (
     AggregateState,
     Snapshot,
     adaboost_alpha,
     init,
-    load_aggregate,
-    load_student,
     save_aggregate,
-    save_student,
     update_ema,
     update_momentum,
     update_running_mean,
@@ -149,24 +147,9 @@ class TestSerialization:
         state = init(Snapshot(params=rng.normal(0, 1, 33), epoch=1))
         path = str(tmp_path / "agg.abst")
         save_aggregate(path, state)
-        loaded = load_aggregate(path)
-        assert loaded.count == state.count
+        loaded = paramio.load_file(path)
+        assert loaded.role == paramio.ROLE_AGGREGATE
+        assert loaded.seq == state.count
         np.testing.assert_array_equal(
-            loaded.mean_params.view(np.uint64), state.mean_params.view(np.uint64)
+            loaded.params.view(np.uint64), state.mean_params.view(np.uint64)
         )
-
-    def test_student_round_trip(self, tmp_path):
-        rng = np.random.default_rng(9)
-        snap = Snapshot(params=rng.normal(0, 1, 12), epoch=4)
-        path = str(tmp_path / "stu.abst")
-        save_student(path, snap)
-        loaded = load_student(path)
-        assert loaded.epoch == 4
-        np.testing.assert_array_equal(loaded.params, snap.params)
-
-    def test_role_mixup_rejected(self, tmp_path):
-        state = init(Snapshot(params=np.ones(3), epoch=1))
-        path = str(tmp_path / "agg.abst")
-        save_aggregate(path, state)
-        with pytest.raises(ValueError):
-            load_student(path)

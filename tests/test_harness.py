@@ -110,7 +110,7 @@ class TestLoopStructure:
     def test_scorer_sees_the_aggregate_not_the_student(self):
         spy = RecordingScorer()
         cfg = small_experiment_config(epochs=3, aggregation="running-mean")
-        res = run_experiment(cfg, scorer=spy, keep_snapshots=True)
+        res = run_experiment(cfg, scorer=spy)
         snaps = [s.params for s in res.snapshots]
         for t in range(1, len(snaps) + 1):
             expected = np.mean(snaps[:t], axis=0)
@@ -121,7 +121,7 @@ class TestLoopStructure:
     def test_scorer_sees_the_student_without_aggregation(self):
         spy = RecordingScorer()
         cfg = small_experiment_config(epochs=2, aggregation="none")
-        res = run_experiment(cfg, scorer=spy, keep_snapshots=True)
+        res = run_experiment(cfg, scorer=spy)
         np.testing.assert_array_equal(spy.params[-1], res.snapshots[-1].params)
 
     def test_scoring_criterion_follows_sampler(self):
@@ -139,7 +139,7 @@ class TestLoopStructure:
 class TestAggregationVariants:
     def test_running_mean_aggregate_is_snapshot_mean(self):
         cfg = small_experiment_config(epochs=4, aggregation="running-mean")
-        res = run_experiment(cfg, keep_snapshots=True)
+        res = run_experiment(cfg)
         snaps = [s.params for s in res.snapshots]
         np.testing.assert_allclose(res.aggregate, np.mean(snaps, axis=0), atol=1e-12)
 
@@ -151,7 +151,7 @@ class TestAggregationVariants:
 
     def test_momentum_aggregate_matches_shadow(self):
         cfg = small_experiment_config(epochs=4, aggregation="momentum", momentum=0.5)
-        res = run_experiment(cfg, keep_snapshots=True)
+        res = run_experiment(cfg)
         shadow = res.snapshots[0].params.copy()
         for snap in res.snapshots[1:]:
             shadow = 0.5 * shadow + 0.5 * snap.params
@@ -181,7 +181,7 @@ class TestAggregationVariants:
     def test_oracle_alpha_matches_recomputation(self):
         cfg = small_experiment_config(epochs=3, aggregation="oracle-alpha")
         res = run_experiment(cfg)
-        assert res.snapshots is not None and len(res.snapshots) == 3
+        assert len(res.snapshots) == 3
         data_seed = substream_seed(cfg.seed, "data")
         pair = generate_domain_pair(dataclasses.replace(cfg.shift, seed=data_seed))
         errors = []

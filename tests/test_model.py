@@ -1,8 +1,12 @@
 """Model math against finite-difference and composed-path oracles."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import boostadapt
 from boostadapt.errors import DivergenceError
 from boostadapt.model import (
     ModelConfig,
@@ -168,7 +172,7 @@ class TestLoss:
             labels = random_labels(rng, cfg)
             primary, aux = model.forward(params, image)
             composed = source_loss(primary, aux, labels, cfg.aux_loss_weight)
-            fused = model.loss(params, [(image, labels)])
+            fused = model.loss_and_grad(params, [(image, labels)])[0]
             np.testing.assert_allclose(fused, composed, rtol=0, atol=1e-9)
 
     def test_source_loss_matches_per_pixel_summation(self):
@@ -210,12 +214,12 @@ class TestLoss:
         image = random_image(rng, cfg)
         labels = np.full((cfg.height, cfg.width), cfg.classes)
         with pytest.raises(IndexError):
-            model.loss(model.init_params(0), [(image, labels)])
+            model.loss_and_grad(model.init_params(0), [(image, labels)])
 
     def test_empty_batch(self):
         model = TwoHeadModel(small_model_config())
         with pytest.raises(ValueError):
-            model.loss(model.init_params(0), [])
+            model.loss_and_grad(model.init_params(0), [])
 
 
 class TestGradient:
@@ -225,7 +229,7 @@ class TestGradient:
         batch = [(random_image(rng, cfg), random_labels(rng, cfg))]
         _, grad = model.loss_and_grad(params, batch, dropout_seed=dropout_seed)
         fd = finite_difference_gradient(
-            lambda p: model.loss(p, batch, dropout_seed=dropout_seed), params, eps=1e-5
+            lambda p: model.loss_and_grad(p, batch, dropout_seed=dropout_seed)[0], params, eps=1e-5
         )
         assert max_rel_error(grad, fd) < 1e-4
 
@@ -246,6 +250,42 @@ class TestGradient:
         cfg = small_model_config(height=1, width=1, classes=2)
         for _ in range(3):
             self._check(cfg, rng, dropout_seed=None)
+
+    def test_value_and_grad_of_linear_head_terms(self):
+        # a fixed random linear function of both heads' logits per image:
+        # its dlogits are the coefficients, so value_and_grad's backward
+        # pass is checked on its own, apart from any loss formula
+        rng = np.random.default_rng(17)
+        cfg = small_model_config(dropout_rate=0.3)
+        model = TwoHeadModel(cfg)
+        n_pix = cfg.height * cfg.width
+        images = [random_image(rng, cfg) for _ in range(2)]
+        coef = rng.normal(size=(len(images), 2, n_pix, cfg.classes))
+
+        def head_terms(i, cache):
+            term = np.sum(coef[i, 0] * cache.logits_p) + np.sum(coef[i, 1] * cache.logits_a)
+            return term, coef[i, 0], coef[i, 1]
+
+        for dropout_seed in (None, 3):
+            params = model.init_params(int(rng.integers(10_000)))
+            _, grad = model.value_and_grad(params, images, head_terms, dropout_seed)
+            fd = finite_difference_gradient(
+                lambda p: model.value_and_grad(p, images, head_terms, dropout_seed)[0],
+                params,
+                eps=1e-5,
+            )
+            assert max_rel_error(grad, fd) < 1e-4
+
+    def test_only_model_runs_the_forward_backward_loop(self):
+        # every loss, regularizers included, goes through value_and_grad
+        src = Path(boostadapt.__file__).parent
+        offenders = [
+            path.name
+            for path in sorted(src.glob("*.py"))
+            if path.name != "model.py"
+            and re.search(r"_forward_cache|_backward", path.read_text())
+        ]
+        assert offenders == []
 
     def test_batch_gradient_is_mean(self):
         cfg = small_model_config()
@@ -278,10 +318,10 @@ class TestGradStep:
                 (random_image(rng, cfg), random_labels(rng, cfg))
                 for _ in range(2)
             ]
-            before = model.loss(params, batch, dropout_seed=trial)
+            before = model.loss_and_grad(params, batch, dropout_seed=trial)[0]
             for lr in (1e-4, 1e-5):
                 new, _ = model.grad_step(params, batch, lr=lr, dropout_seed=trial)
-                after = model.loss(new, batch, dropout_seed=trial)
+                after = model.loss_and_grad(new, batch, dropout_seed=trial)[0]
                 if after < before:
                     break
             assert after < before

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from boostadapt.errors import DivergenceError
 from boostadapt.model import TwoHeadModel, fuse_predictions
 from boostadapt.numerics import entropy, finite_difference_gradient
 from boostadapt.regularizers import (
@@ -131,6 +132,17 @@ class TestSelfTrainingHook:
         model = TwoHeadModel(small_model_config())
         with pytest.raises(ValueError):
             self_training_regularizer(model, -0.5)
+
+
+@pytest.mark.parametrize("make_hook", [entropy_min_regularizer, self_training_regularizer])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_params_diverge(make_hook, bad):
+    model = TwoHeadModel(small_model_config())
+    hook = make_hook(model, 0.5)
+    params = model.init_params(0)
+    params[0] = bad  # a stage-1 weight
+    with pytest.raises(DivergenceError):
+        hook(params, [random_image(np.random.default_rng(6), model.config)])
 
 
 class TestFactory:
