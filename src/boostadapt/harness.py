@@ -114,8 +114,7 @@ def _write_distributions(path: str, dists: Sequence[np.ndarray]) -> None:
     for t, weights in enumerate(dists, start=1):
         for j, w in enumerate(weights):
             lines.append(f"{t},{j},{w!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    paramio.write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 def run_experiment(

@@ -21,7 +21,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import DivergenceError
-from .numerics import EPS, log_softmax, softmax
+from .numerics import EPS, _fold_sum, log_softmax, softmax
 
 
 @dataclass(frozen=True)
@@ -70,21 +70,24 @@ def _im2col(grid: np.ndarray, radius: int) -> np.ndarray:
 
 
 def _col2im(cols: np.ndarray, h: int, w: int, d: int, radius: int) -> np.ndarray:
-    """Scatter-add adjoint of ``_im2col``: (H*W, k*k*D) -> (H, W, D)."""
+    """Scatter-add adjoint of ``_im2col``: (..., H*W, k*k*D) -> (..., H, W, D);
+    leading axes are carried through."""
+    lead = cols.shape[:-2]
     if radius == 0:
-        return cols.reshape(h, w, d)
+        return cols.reshape(*lead, h, w, d)
     k = 2 * radius + 1
-    cols = cols.reshape(h, w, k, k, d)
-    padded = np.zeros((h + 2 * radius, w + 2 * radius, d))
+    cols = cols.reshape(*lead, h, w, k, k, d)
+    padded = np.zeros((*lead, h + 2 * radius, w + 2 * radius, d))
     for dy in range(k):
         for dx in range(k):
-            padded[dy : dy + h, dx : dx + w, :] += cols[:, :, dy, dx, :]
-    return padded[radius : radius + h, radius : radius + w, :]
+            padded[..., dy : dy + h, dx : dx + w, :] += cols[..., dy, dx, :]
+    return padded[..., radius : radius + h, radius : radius + w, :]
 
 
-# Budget for the stage-2 im2col columns of one eval-mode chunk of images:
-# with the chunk's other activations it stays inside a 2 MiB L2 cache.
-EVAL_CHUNK_BYTES = 1 << 20
+# Budget for the stage-2 im2col columns of one chunk of images, in training
+# and in eval mode: with the chunk's other activations it stays inside a
+# 2 MiB L2 cache.
+CHUNK_BYTES = 1 << 20
 
 
 @dataclass
@@ -125,10 +128,10 @@ class TwoHeadModel:
         offsets = np.cumsum([0] + [int(np.prod(s)) for _, s, _ in self._sections])
         self._offsets = offsets
         self.param_count = int(offsets[-1])
-        # images per chunk of ``forward_chunks``: 7 at 16x16, 1 at 32x32
-        # with the default widths
+        # images per stack of ``forward_chunks`` and ``value_and_grad``:
+        # 7 at 16x16, 1 at 32x32 with the default widths
         col_bytes = c.height * c.width * in2 * np.dtype(np.float64).itemsize
-        self.eval_chunk = max(1, EVAL_CHUNK_BYTES // col_bytes)
+        self.chunk = max(1, CHUNK_BYTES // col_bytes)
 
     def init_params(self, seed: int) -> np.ndarray:
         """Scaled-uniform init, bound 1/sqrt(fan_in) per layer. Deterministic."""
@@ -210,37 +213,49 @@ class TwoHeadModel:
         params: np.ndarray,
         cache: _ForwardCache,
         dlogits_p: np.ndarray,
-        dlogits_a: np.ndarray,
+        dlogits_a: np.ndarray | None,
         masks: tuple[np.ndarray | None, np.ndarray | None],
     ) -> np.ndarray:
-        """Gradient of a scalar loss given dloss/dlogits for both heads."""
+        """Gradient rows, one per image of the cached (m, ...) stack, of a
+        loss given dloss/dlogits of both heads, each (m, H*W, C).
+
+        Stacked matmuls run one gemm per image, so each row equals the
+        single-image gradient bit for bit. ``dlogits_a=None`` means the aux
+        head gets no gradient: its matmuls are skipped and its rows are zero.
+        """
         c = self.config
         w1, b1, w2, b2, wa, ba, wp, bp = self._unpack(params)
         mask_a, mask_p = masks
+        m = dlogits_p.shape[0]
 
-        g_wp = cache.head_in_p.T @ dlogits_p
-        g_bp = dlogits_p.sum(axis=0)
+        g_wp = np.swapaxes(cache.head_in_p, -1, -2) @ dlogits_p
+        g_bp = dlogits_p.sum(axis=-2)
         d_head_p = dlogits_p @ wp.T
-        g_wa = cache.head_in_a.T @ dlogits_a
-        g_ba = dlogits_a.sum(axis=0)
-        d_head_a = dlogits_a @ wa.T
 
         d_act2 = d_head_p if mask_p is None else d_head_p * mask_p
         d_pre2 = d_act2 * (1.0 - cache.act2**2)
-        g_w2 = cache.patches2.T @ d_pre2
-        g_b2 = d_pre2.sum(axis=0)
+        g_w2 = np.swapaxes(cache.patches2, -1, -2) @ d_pre2
+        g_b2 = d_pre2.sum(axis=-2)
         d_patches2 = d_pre2 @ w2.T
 
         d_act1 = _col2im(
             d_patches2, c.height, c.width, c.hidden1, c.r_primary
-        ).reshape(-1, c.hidden1)
-        d_act1 = d_act1 + (d_head_a if mask_a is None else d_head_a * mask_a)
+        ).reshape(m, -1, c.hidden1)
+        if dlogits_a is None:
+            g_wa = np.zeros((m, *wa.shape))
+            g_ba = np.zeros((m, *ba.shape))
+        else:
+            g_wa = np.swapaxes(cache.head_in_a, -1, -2) @ dlogits_a
+            g_ba = dlogits_a.sum(axis=-2)
+            d_head_a = dlogits_a @ wa.T
+            d_act1 = d_act1 + (d_head_a if mask_a is None else d_head_a * mask_a)
         d_pre1 = d_act1 * (1.0 - cache.act1**2)
-        g_w1 = cache.patches1.T @ d_pre1
-        g_b1 = d_pre1.sum(axis=0)
+        g_w1 = np.swapaxes(cache.patches1, -1, -2) @ d_pre1
+        g_b1 = d_pre1.sum(axis=-2)
 
         return np.concatenate(
-            [g.ravel() for g in (g_w1, g_b1, g_w2, g_b2, g_wa, g_ba, g_wp, g_bp)]
+            [g.reshape(m, -1) for g in (g_w1, g_b1, g_w2, g_b2, g_wa, g_ba, g_wp, g_bp)],
+            axis=1,
         )
 
     def forward(
@@ -262,11 +277,11 @@ class TwoHeadModel:
     def forward_chunks(
         self, params: np.ndarray, images: Sequence[np.ndarray]
     ) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
-        """Eval-mode ``forward`` over a dataset, ``eval_chunk`` images at a
+        """Eval-mode ``forward`` over a dataset, ``chunk`` images at a
         time: yields (slice of ``images``, primary, aux) per chunk, so the
         caller reduces each chunk before the next one is computed."""
-        for lo in range(0, len(images), self.eval_chunk):
-            span = slice(lo, lo + self.eval_chunk)
+        for lo in range(0, len(images), self.chunk):
+            span = slice(lo, lo + self.chunk)
             primary, aux = self.forward(params, images[span])
             yield span, primary, aux
 
@@ -285,27 +300,36 @@ class TwoHeadModel:
         self,
         params: np.ndarray,
         images: Sequence[np.ndarray],
-        head_terms: Callable[[int, _ForwardCache], tuple[float, np.ndarray, np.ndarray]],
+        head_terms: Callable[
+            [slice, _ForwardCache], tuple[np.ndarray, np.ndarray, np.ndarray | None]
+        ],
         dropout_seed: int | None = None,
     ) -> tuple[float, np.ndarray]:
         """Sum of per-image loss terms over ``images`` and its gradient.
 
-        The one training forward/backward loop. Each image is forwarded on
-        its own, in order, so gradient sums keep a fixed order; then
-        ``head_terms(i, cache)`` returns image ``i``'s loss term and dloss/
-        dlogits of the primary and aux heads, each (H*W, C). The head masks
-        of ``dropout_seed`` (None: eval mode) are drawn once per call.
+        The one training forward/backward loop. ``images`` are forwarded
+        ``chunk`` at a time as stacks; for each ``span`` of ``images``,
+        ``head_terms(span, cache)`` gets the stacked cache and returns the
+        span's per-image loss terms, (m,), and dloss/dlogits of the primary
+        and aux heads, each (m, H*W, C); an aux ``None`` skips the aux head's
+        backward. Terms and per-image gradients are summed in image order,
+        so the result equals a one-image-at-a-time loop bit for bit. The head
+        masks of ``dropout_seed`` (None: eval mode) are drawn once per call.
         """
         if not np.all(np.isfinite(params)):
             raise DivergenceError("non-finite parameters")
         masks = self._head_masks(dropout_seed)
         total = 0.0
         grad = np.zeros(self.param_count)
-        for i, image in enumerate(images):
-            cache = self._forward_cache(params, self._check_image(image), masks)
-            term, dlogits_p, dlogits_a = head_terms(i, cache)
-            total += term
-            grad += self._backward(params, cache, dlogits_p, dlogits_a, masks)
+        for lo in range(0, len(images), self.chunk):
+            span = slice(lo, lo + self.chunk)
+            stack = np.stack([self._check_image(image) for image in images[span]])
+            cache = self._forward_cache(params, stack, masks)
+            terms, dlogits_p, dlogits_a = head_terms(span, cache)
+            rows = self._backward(params, cache, dlogits_p, dlogits_a, masks)
+            for term, row in zip(terms, rows):
+                total += term
+                grad += row
         return float(total), grad
 
     def loss_and_grad(
@@ -322,15 +346,16 @@ class TwoHeadModel:
         lam = self.config.aux_loss_weight if aux_weight is None else aux_weight
         n_pix = self.config.height * self.config.width
         n = len(batch)
-        flats = [self._check_labels(labels).reshape(-1) for _, labels in batch]
-        rows = np.arange(n_pix)
+        flats = np.stack([self._check_labels(labels).reshape(-1) for _, labels in batch])
 
-        def head_terms(i: int, cache: _ForwardCache) -> tuple[float, np.ndarray, np.ndarray]:
-            flat = flats[i]
-            ce_p = -log_softmax(cache.logits_p)[rows, flat].mean()
-            ce_a = -log_softmax(cache.logits_a)[rows, flat].mean()
-            onehot = np.zeros((n_pix, self.config.classes))
-            onehot[rows, flat] = 1.0
+        def head_terms(span: slice, cache: _ForwardCache) -> tuple[np.ndarray, ...]:
+            picks = flats[span][..., None]  # (m, H*W, 1)
+            ce_p, ce_a = (
+                -np.take_along_axis(log_softmax(logits), picks, -1)[..., 0].mean(axis=-1)
+                for logits in (cache.logits_p, cache.logits_a)
+            )
+            onehot = np.zeros_like(cache.probs_p)
+            np.put_along_axis(onehot, picks, 1.0, -1)
             dlogits_p = (cache.probs_p - onehot) / (n_pix * n)
             dlogits_a = lam * (cache.probs_a - onehot) / (n_pix * n)
             return (ce_p + lam * ce_a) / n, dlogits_p, dlogits_a
@@ -385,7 +410,7 @@ def fuse_predictions(primary: np.ndarray, aux: np.ndarray) -> np.ndarray:
     if primary.shape != aux.shape:
         raise ValueError(f"shape mismatch: {primary.shape} vs {aux.shape}")
     fused = 0.5 * (primary + aux)
-    return fused / fused.sum(axis=-1, keepdims=True)
+    return fused / _fold_sum(fused)[..., None]
 
 
 def poly_lr(iteration: int, total_iterations: int, lr0: float, power: float = 0.9) -> float:

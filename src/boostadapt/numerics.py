@@ -13,6 +13,31 @@ import numpy as np
 
 EPS = 1e-12
 
+# numpy's pairwise sum adds a last axis shorter than this left to right from
+# +0.0, so folding it column by column gives the same bits without numpy's
+# slow per-row reduce over a handful of entries (the class axis).
+_FOLD_BELOW = 8
+
+
+def _fold_max(a: np.ndarray) -> np.ndarray:
+    """``a.max(axis=-1)``, as an ``np.maximum`` fold over short last axes."""
+    if a.ndim == 0 or not 0 < a.shape[-1] < _FOLD_BELOW:
+        return a.max(axis=-1)
+    out = a[..., 0]
+    for k in range(1, a.shape[-1]):
+        out = np.maximum(out, a[..., k])
+    return out
+
+
+def _fold_sum(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=-1)`` bit for bit, as a column fold over short last axes."""
+    if a.ndim == 0 or not 0 < a.shape[-1] < _FOLD_BELOW:
+        return a.sum(axis=-1)
+    out = a[..., 0] + 0.0  # numpy's sum starts from +0.0: a row of -0.0 gives +0.0
+    for k in range(1, a.shape[-1]):
+        out += a[..., k]
+    return out
+
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Max-subtracted softmax along the last axis.
@@ -24,9 +49,9 @@ def softmax(logits: np.ndarray) -> np.ndarray:
         raise ValueError("softmax needs at least two entries along the last axis")
     if not np.all(np.isfinite(z)):
         raise ValueError("softmax: non-finite logits")
-    z = z - z.max(axis=-1, keepdims=True)
+    z = z - _fold_max(z)[..., None]
     e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / _fold_sum(e)[..., None]
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -37,8 +62,8 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
         raise ValueError("log_softmax needs at least two entries along the last axis")
     if not np.all(np.isfinite(z)):
         raise ValueError("log_softmax: non-finite logits")
-    z = z - z.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    z = z - _fold_max(z)[..., None]
+    return z - np.log(_fold_sum(np.exp(z))[..., None])
 
 
 def cross_entropy(pred: np.ndarray, label: int) -> float:
@@ -66,7 +91,7 @@ def kl_pointwise(p: np.ndarray, q: np.ndarray) -> np.ndarray | float:
     qc = np.maximum(qa, EPS)
     ratio = np.maximum(pa, EPS) / qc
     terms = np.where(pa > 0.0, pa * np.log(ratio), 0.0)
-    out = np.maximum(terms.sum(axis=-1), 0.0)
+    out = np.maximum(_fold_sum(terms), 0.0)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -74,7 +99,7 @@ def entropy(p: np.ndarray) -> np.ndarray | float:
     """Shannon entropy -sum p log p along the last axis, with 0*log(0) = 0."""
     pa = np.asarray(p, dtype=np.float64)
     terms = np.where(pa > 0.0, pa * np.log(np.maximum(pa, EPS)), 0.0)
-    out = -terms.sum(axis=-1)
+    out = -_fold_sum(terms)
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -13,11 +13,13 @@ Layout, all little-endian:
 
 Plain files and role-tagged files share the header; the reader tells them
 apart by the byte length after the header (8P vs 5 + 8P). Round-trips are
-bit-exact.
+bit-exact. Every artifact the package writes (snapshots, CSVs) goes through
+``write_atomic``.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -50,12 +52,25 @@ def _payload(params: np.ndarray) -> tuple[np.ndarray, bytes]:
     return vec, _HEADER.pack(MAGIC, VERSION, vec.size)
 
 
+def write_atomic(path: str, data: bytes) -> None:
+    """Write ``data`` to ``path`` via a temp file in the same directory and
+    ``os.replace``: readers see the old file or the new one, never a torn
+    write, and a failed write leaves the old file and no temp file behind."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_params(path: str, params: np.ndarray) -> None:
     """Write a plain parameter vector."""
     vec, header = _payload(params)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(vec.astype("<f8").tobytes())
+    write_atomic(path, header + vec.astype("<f8").tobytes())
 
 
 def save_snapshot(path: str, params: np.ndarray, role: int, seq: int) -> None:
@@ -65,10 +80,7 @@ def save_snapshot(path: str, params: np.ndarray, role: int, seq: int) -> None:
     if seq < 0:
         raise ValueError("seq must be >= 0")
     vec, header = _payload(params)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(_ROLE_FIELDS.pack(role, seq))
-        fh.write(vec.astype("<f8").tobytes())
+    write_atomic(path, header + _ROLE_FIELDS.pack(role, seq) + vec.astype("<f8").tobytes())
 
 
 def load_file(path: str) -> SnapshotInfo:

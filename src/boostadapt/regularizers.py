@@ -6,8 +6,9 @@ gradient is added to the labeled-source gradient. The default hook returns an
 exact zero so the base method trains on source supervision alone. The
 entropy-minimization and self-training hooks are each a ``head_terms``
 callback on ``TwoHeadModel.value_and_grad``, the model's one forward/backward
-loop: they give a per-image loss term and its dloss/dlogits from an eval-mode
-forward, and like that loop they raise ``DivergenceError`` on non-finite
+loop: for each stack of images they give the per-image loss terms and the
+primary head's dloss/dlogits from an eval-mode forward (the aux head gets
+none), and like that loop they raise ``DivergenceError`` on non-finite
 parameters.
 """
 
@@ -44,11 +45,11 @@ def entropy_min_regularizer(model: TwoHeadModel, weight: float) -> RegularizerHo
     def hook(params: np.ndarray, images: Sequence[np.ndarray]) -> tuple[float, np.ndarray]:
         n = len(images)
 
-        def head_terms(i: int, cache) -> tuple[float, np.ndarray, np.ndarray]:
-            h = entropy(cache.probs_p)  # (H*W,)
+        def head_terms(span: slice, cache) -> tuple[np.ndarray, np.ndarray, None]:
+            h = entropy(cache.probs_p)  # (m, H*W)
             logp = np.log(np.maximum(cache.probs_p, 1e-12))
-            dlogits_p = -weight * cache.probs_p * (logp + h[:, None]) / (n_pix * n)
-            return weight * float(np.mean(h)) / n, dlogits_p, np.zeros_like(cache.probs_a)
+            dlogits_p = -weight * cache.probs_p * (logp + h[..., None]) / (n_pix * n)
+            return weight * np.mean(h, axis=-1) / n, dlogits_p, None
 
         return model.value_and_grad(params, images, head_terms)
 
@@ -65,20 +66,19 @@ def self_training_regularizer(model: TwoHeadModel, weight: float) -> Regularizer
     if weight < 0.0:
         raise ValueError("weight must be >= 0")
     n_pix = model.config.height * model.config.width
-    classes = model.config.classes
 
     def hook(params: np.ndarray, images: Sequence[np.ndarray]) -> tuple[float, np.ndarray]:
         n = len(images)
 
-        def head_terms(i: int, cache) -> tuple[float, np.ndarray, np.ndarray]:
+        def head_terms(span: slice, cache) -> tuple[np.ndarray, np.ndarray, None]:
             fused = cache.probs_p + cache.probs_a
-            labels = np.argmax(fused, axis=1)  # (H*W,)
-            picked = cache.probs_p[np.arange(labels.size), labels]
-            term = -weight * float(np.mean(np.log(np.maximum(picked, 1e-12)))) / n
-            onehot = np.zeros((labels.size, classes))
-            onehot[np.arange(labels.size), labels] = 1.0
+            labels = np.argmax(fused, axis=-1)[..., None]  # (m, H*W, 1)
+            picked = np.take_along_axis(cache.probs_p, labels, -1)[..., 0]
+            term = -weight * np.mean(np.log(np.maximum(picked, 1e-12)), axis=-1) / n
+            onehot = np.zeros_like(cache.probs_p)
+            np.put_along_axis(onehot, labels, 1.0, -1)
             dlogits_p = weight * (cache.probs_p - onehot) / (n_pix * n)
-            return term, dlogits_p, np.zeros_like(cache.probs_a)
+            return term, dlogits_p, None
 
         return model.value_and_grad(params, images, head_terms)
 

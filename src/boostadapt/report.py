@@ -14,6 +14,7 @@ from typing import Sequence
 
 from .errors import FormatError
 from .metrics import trajectory_stats
+from .paramio import write_atomic
 
 COLUMNS = (
     "epoch",
@@ -93,8 +94,7 @@ def write_report(path: str, report: MetricsReport) -> None:
     for row in report.rows:
         d = asdict(row)
         lines.append(",".join(_cell(d[c]) for c in COLUMNS))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 def read_report(path: str) -> MetricsReport:
@@ -149,8 +149,7 @@ def write_summary(path: str, rows: Sequence[SummaryRow]) -> None:
     for row in rows:
         d = asdict(row)
         lines.append(",".join(_cell(d[c]) for c in SUMMARY_COLUMNS))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 def read_summary(path: str) -> list[SummaryRow]:

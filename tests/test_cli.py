@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,8 +59,8 @@ class TestRun:
         for out in (out1, out2):
             assert cli_main(["run", "--config", config_path, "--seed", "7", "--out", out]) == EXIT_OK
         for name in ("report.csv", "student.abst", "aggregate.abst"):
-            a = open(os.path.join(out1, name), "rb").read()
-            b = open(os.path.join(out2, name), "rb").read()
+            a = Path(out1, name).read_bytes()
+            b = Path(out2, name).read_bytes()
             assert a == b, name
 
     def test_variant_preset_applies(self, tmp_path, config_path):
@@ -148,7 +149,7 @@ class TestInspect:
         out = str(tmp_path / "results")
         cli_main(["run", "--config", config_path, "--out", out])
         path = os.path.join(out, "student.abst")
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         with open(path, "wb") as fh:
             fh.write(blob[: len(blob) // 2])
         capsys.readouterr()

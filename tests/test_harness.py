@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,8 +206,8 @@ class TestDeterminism:
             run_experiment(cfg, out_dir=out1)
             run_experiment(cfg, out_dir=out2)
             for name in ("report.csv", "student.abst", "aggregate.abst"):
-                b1 = open(os.path.join(out1, name), "rb").read()
-                b2 = open(os.path.join(out2, name), "rb").read()
+                b1 = Path(out1, name).read_bytes()
+                b2 = Path(out2, name).read_bytes()
                 assert b1 == b2, (variant, name)
 
     def test_different_seed_different_trajectory(self):
@@ -273,7 +274,7 @@ class TestArtifacts:
         aggregate = load_file(os.path.join(out, "aggregate.abst"))
         assert aggregate.role == ROLE_AGGREGATE
         np.testing.assert_array_equal(aggregate.params, res.aggregate)
-        dist_lines = open(os.path.join(out, "distributions.csv")).read().splitlines()
+        dist_lines = Path(out, "distributions.csv").read_text().splitlines()
         assert dist_lines[0] == "epoch,index,weight"
         assert len(dist_lines) == 1 + cfg.epochs * cfg.shift.target_count
 
@@ -296,7 +297,7 @@ class TestEvaluation:
         cfg = ModelConfig(classes=3)
         model = TwoHeadModel(cfg)
         rng = np.random.default_rng(8)
-        n = model.eval_chunk + 2  # the last chunk is short
+        n = model.chunk + 2  # the last chunk is short
         images = rng.normal(0.0, 1.0, (n, cfg.height, cfg.width, cfg.features))
         labels = rng.integers(0, cfg.classes, (n, cfg.height, cfg.width))
         params = model.init_params(2)

@@ -18,6 +18,7 @@ from boostadapt.model import (
     source_loss,
 )
 from boostadapt.numerics import cross_entropy, finite_difference_gradient
+from boostadapt.regularizers import entropy_min_regularizer, self_training_regularizer
 
 from helpers import max_rel_error, random_image, random_labels, small_model_config
 
@@ -143,7 +144,7 @@ class TestForward:
     )
     def test_stack_and_chunks_equal_per_image_loop(self, cfg, chunk):
         model = TwoHeadModel(cfg)
-        assert model.eval_chunk == chunk
+        assert model.chunk == chunk
         n = 2 * chunk + 1  # the last chunk is short
         rng = np.random.default_rng(12)
         params = model.init_params(5)
@@ -262,9 +263,12 @@ class TestGradient:
         images = [random_image(rng, cfg) for _ in range(2)]
         coef = rng.normal(size=(len(images), 2, n_pix, cfg.classes))
 
-        def head_terms(i, cache):
-            term = np.sum(coef[i, 0] * cache.logits_p) + np.sum(coef[i, 1] * cache.logits_a)
-            return term, coef[i, 0], coef[i, 1]
+        def head_terms(span, cache):
+            c = coef[span]
+            terms = np.sum(c[:, 0] * cache.logits_p, axis=(1, 2)) + np.sum(
+                c[:, 1] * cache.logits_a, axis=(1, 2)
+            )
+            return terms, c[:, 0], c[:, 1]
 
         for dropout_seed in (None, 3):
             params = model.init_params(int(rng.integers(10_000)))
@@ -275,6 +279,63 @@ class TestGradient:
                 eps=1e-5,
             )
             assert max_rel_error(grad, fd) < 1e-4
+
+    def test_stacks_equal_in_order_sum_of_single_images(self):
+        # N = 2*chunk+1 images cross two chunk boundaries; the stacked pass
+        # must give the bits of a one-image-at-a-time loop summed in order,
+        # signs of zeros included
+        cfg = ModelConfig()
+        model = TwoHeadModel(cfg)
+        single = TwoHeadModel(cfg)
+        single.chunk = 1
+        n = 2 * model.chunk + 1
+        rng = np.random.default_rng(23)
+        params = model.init_params(8)
+        images = list(rng.normal(0.0, 1.5, (n, cfg.height, cfg.width, cfg.features)))
+        labels = list(rng.integers(0, cfg.classes, (n, cfg.height, cfg.width)))
+        coef = rng.normal(size=(n, 2, cfg.height * cfg.width, cfg.classes))
+
+        def same_bits(got, want):
+            return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+        def linear(span, cache):
+            c = coef[span]
+            terms = np.sum(c[:, 0] * cache.logits_p, axis=(1, 2))
+            return terms, c[:, 0], c[:, 1]
+
+        for dropout_seed in (None, 4):
+            total, grad = model.value_and_grad(params, images, linear, dropout_seed)
+            want_total, want_grad = 0.0, np.zeros(model.param_count)
+            for i, image in enumerate(images):
+                term, g = model.value_and_grad(
+                    params, [image], lambda _, cache: linear(slice(i, i + 1), cache), dropout_seed
+                )
+                want_total += term
+                want_grad += g
+            assert total == want_total and same_bits(grad, want_grad)
+
+            batch = list(zip(images, labels))
+            got = model.loss_and_grad(params, batch, dropout_seed=dropout_seed)
+            want = single.loss_and_grad(params, batch, dropout_seed=dropout_seed)
+            assert got[0] == want[0] and same_bits(got[1], want[1])
+
+        for make in (entropy_min_regularizer, self_training_regularizer):
+            got = make(model, 0.5)(params, images)
+            want = make(single, 0.5)(params, images)
+            assert got[0] == want[0] and same_bits(got[1], want[1])
+
+        # an aux dlogits of None skips the aux head's backward, bit for bit
+        def no_aux(span, cache):
+            terms, dlogits_p, _ = linear(span, cache)
+            return terms, dlogits_p, None
+
+        def zero_aux(span, cache):
+            terms, dlogits_p, dlogits_a = linear(span, cache)
+            return terms, dlogits_p, np.zeros_like(dlogits_a)
+
+        skipped = model.value_and_grad(params, images, no_aux)
+        zeros = model.value_and_grad(params, images, zero_aux)
+        assert skipped[0] == zeros[0] and same_bits(skipped[1], zeros[1])
 
     def test_only_model_runs_the_forward_backward_loop(self):
         # every loss, regularizers included, goes through value_and_grad

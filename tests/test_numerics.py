@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from boostadapt.model import fuse_predictions
 from boostadapt.numerics import (
     EPS,
+    _fold_sum,
     cross_entropy,
     entropy,
     finite_difference_gradient,
@@ -171,6 +173,62 @@ class TestEntropy:
         for _ in range(100):
             p = rng.dirichlet(np.ones(int(rng.integers(2, 9))))
             assert entropy(p) >= 0.0
+
+
+class TestFoldedReductions:
+    # the inline numpy-reduce formulas the folded class-axis reductions replace
+    @staticmethod
+    def softmax_ref(z):
+        z = z - z.max(axis=-1, keepdims=True)
+        e = np.exp(z)
+        return e / e.sum(axis=-1, keepdims=True)
+
+    @staticmethod
+    def log_softmax_ref(z):
+        z = z - z.max(axis=-1, keepdims=True)
+        return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+    @staticmethod
+    def kl_ref(p, q):
+        ratio = np.maximum(p, EPS) / np.maximum(q, EPS)
+        out = np.maximum(np.where(p > 0.0, p * np.log(ratio), 0.0).sum(axis=-1), 0.0)
+        return float(out) if np.ndim(out) == 0 else out
+
+    @staticmethod
+    def entropy_ref(p):
+        out = -np.where(p > 0.0, p * np.log(np.maximum(p, EPS)), 0.0).sum(axis=-1)
+        return float(out) if np.ndim(out) == 0 else out
+
+    @staticmethod
+    def fuse_ref(p, a):
+        fused = 0.5 * (p + a)
+        return fused / fused.sum(axis=-1, keepdims=True)
+
+    @pytest.mark.parametrize("length", [2, 3, 4, 5, 6, 7, 8, 9, 64])
+    @pytest.mark.parametrize("lead", [(), (5,), (3, 11)])
+    def test_bit_identical_to_numpy_reduce(self, length, lead):
+        rng = np.random.default_rng(length * 10 + len(lead))
+        shape = (*lead, length)
+        z = rng.normal(0.0, 4.0, shape)
+        p = rng.dirichlet(np.ones(length), size=lead)
+        q = rng.dirichlet(np.ones(length), size=lead)
+        p[..., 0] = 0.0  # the 0 log 0 = 0 branch
+        pairs = [
+            (softmax(z), self.softmax_ref(z)),
+            (log_softmax(z), self.log_softmax_ref(z)),
+            (kl_pointwise(p, q), self.kl_ref(p, q)),
+            (entropy(p), self.entropy_ref(p)),
+            (entropy(q), self.entropy_ref(q)),
+            (fuse_predictions(p, q), self.fuse_ref(p, q)),
+        ]
+        for got, want in pairs:
+            assert type(got) is type(want)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_sum_of_negative_zeros_is_positive_zero(self):
+        rows = np.array([[-0.0, -0.0, -0.0], [-0.0, 1.0, -1.0]])
+        assert np.array_equal(np.signbit(_fold_sum(rows)), np.signbit(rows.sum(axis=-1)))
 
 
 class TestFiniteDifference:

@@ -1,5 +1,7 @@
 """Report CSV: exact columns, lossless float round-trip, summaries."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -41,7 +43,7 @@ class TestReportFile:
     def test_column_order_is_pinned(self, tmp_path):
         path = str(tmp_path / "report.csv")
         write_report(path, make_report())
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[0].startswith("# config: ")
         assert lines[1] == (
             "epoch,iter,variant,lr,student_src_miou,student_tgt_miou,"
@@ -99,7 +101,7 @@ class TestSummary:
         ]
         path = str(tmp_path / "summary.csv")
         write_summary(path, rows)
-        header = open(path).read().splitlines()[0]
+        header = Path(path).read_text().splitlines()[0]
         assert header == (
             "variant,seed,final_student_miou,final_aggregate_miou,"
             "lastk_student_std,lastk_aggregate_std"

@@ -99,7 +99,7 @@ class TestScoreDataset:
         model = TwoHeadModel(cfg)
         rng = np.random.default_rng(4)
         params = model.init_params(0)
-        images = [random_image(rng, cfg) for _ in range(model.eval_chunk + 3)]
+        images = [random_image(rng, cfg) for _ in range(model.chunk + 3)]
         for criterion in ("kl-variance", "entropy"):
             sv = score_dataset(model, params, images, criterion)
             assert sv.criterion == criterion
