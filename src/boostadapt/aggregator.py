@@ -8,16 +8,18 @@ online:
 so no snapshot history is kept. Momentum and per-iteration EMA variants are
 provided as baselines, plus a classic boosting-style weighted combination for
 the labeled-oracle ablation (weights log((1-e)/e)/2, normalized to sum 1).
+``Aggregator`` owns the choice between them for one run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import paramio
+from .config import AGGREGATIONS
 
 
 @dataclass(frozen=True)
@@ -119,6 +121,51 @@ def weighted_combine(snapshots: Sequence[Snapshot], alphas: Sequence[float]) -> 
     for weight, snap in zip(a, snapshots):
         out = out + weight * snap.params
     return out
+
+
+class Aggregator:
+    """One run's aggregation policy, one of ``config.AGGREGATIONS``: the
+    training loop calls ``after_step`` after every adaptation iteration and
+    ``after_epoch`` at every epoch end. ``state`` starts as a copy of the
+    student entering adaptation (the EMA teacher's start, and the aggregate a
+    run diverging in epoch 1 keeps); ``snapshots`` holds every epoch's."""
+
+    def __init__(self, policy: str, start_params: np.ndarray, momentum: float, ema_decay: float):
+        if policy not in AGGREGATIONS:
+            raise ValueError(f"unknown aggregation {policy!r}; known: {AGGREGATIONS}")
+        self.policy = policy
+        self.momentum = momentum
+        self.ema_decay = ema_decay
+        self.state = AggregateState(mean_params=start_params.copy(), count=1)
+        self.snapshots: list[Snapshot] = []
+        self._errors: list[float] = []
+
+    def after_step(self, params: np.ndarray) -> None:
+        if self.policy == "ema":
+            self.state = update_ema(self.state, params, self.ema_decay)
+
+    def after_epoch(self, snap: Snapshot, heldout_error: Callable[[], float]) -> np.ndarray:
+        """Fold in the epoch's snapshot; return the aggregate parameters.
+        ``heldout_error()`` is the student's labeled target error, asked for
+        under ``oracle-alpha`` only."""
+        self.snapshots.append(snap)
+        if self.policy == "running-mean":
+            self.state = init(snap) if snap.epoch == 1 else update_running_mean(self.state, snap)
+        elif self.policy == "momentum":
+            self.state = (
+                init(snap) if snap.epoch == 1 else update_momentum(self.state, snap, self.momentum)
+            )
+        elif self.policy == "oracle-alpha":
+            self._errors.append(float(np.clip(heldout_error(), 1e-6, 1.0 - 1e-6)))
+            alphas = [adaboost_alpha(e) for e in self._errors]
+            if min(alphas) <= 0.0:
+                # boosting weights degenerate when a snapshot is no better
+                # than chance; fall back to the plain mean
+                alphas = [1.0] * len(self.snapshots)
+            self.state = AggregateState(weighted_combine(self.snapshots, alphas), snap.epoch)
+        elif self.policy == "none":
+            self.state = AggregateState(snap.params, snap.epoch)
+        return self.state.mean_params
 
 
 def save_aggregate(path: str, state: AggregateState) -> None:

@@ -22,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import FormatError
+from .paramio import write_atomic
 from .rng import substream
 
 GEOMETRIES = ("blobs", "stripes", "checker")
@@ -171,7 +172,7 @@ def export_domain_pair(pair: DomainPair, out_dir: str) -> None:
         arr = getattr(pair, name)
         dtype = "<i8" if arr.dtype.kind == "i" else "<f8"
         fname = f"{name}.bin"
-        arr.astype(dtype).tofile(os.path.join(out_dir, fname))
+        write_atomic(os.path.join(out_dir, fname), arr.astype(dtype).tobytes())
         arrays[name] = {"file": fname, "dtype": dtype, "shape": list(arr.shape)}
     manifest = {
         "format": _MANIFEST_FORMAT,
@@ -179,9 +180,8 @@ def export_domain_pair(pair: DomainPair, out_dir: str) -> None:
         "config": asdict(pair.config),
         "arrays": arrays,
     }
-    with open(os.path.join(out_dir, MANIFEST_NAME), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    write_atomic(os.path.join(out_dir, MANIFEST_NAME), text.encode())
 
 
 def import_domain_pair(in_dir: str) -> DomainPair:

@@ -19,6 +19,7 @@ off). All randomness flows through named substreams of the master seed.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -84,9 +85,8 @@ def evaluate_miou(
 
 def _persist(
     out_dir: str,
-    model: TwoHeadModel,
     student: np.ndarray,
-    aggregate_state: aggregator.AggregateState | None,
+    aggregate_state: aggregator.AggregateState,
     epoch: int,
     rows: Sequence[EpochRow],
     config_echo: dict,
@@ -95,14 +95,7 @@ def _persist(
     paramio.save_snapshot(
         os.path.join(out_dir, STUDENT_NAME), student, paramio.ROLE_STUDENT, epoch
     )
-    if aggregate_state is not None:
-        aggregator.save_aggregate(os.path.join(out_dir, AGGREGATE_NAME), aggregate_state)
-    else:
-        # without aggregation the aggregate file mirrors the student
-        paramio.save_snapshot(
-            os.path.join(out_dir, AGGREGATE_NAME), student, paramio.ROLE_AGGREGATE,
-            max(epoch, 1),
-        )
+    aggregator.save_aggregate(os.path.join(out_dir, AGGREGATE_NAME), aggregate_state)
     write_report(
         os.path.join(out_dir, REPORT_NAME),
         MetricsReport(rows=tuple(rows), config_echo=config_echo),
@@ -172,7 +165,6 @@ def run_experiment(
         return batch
 
     rows: list[EpochRow] = []
-    aggregate_state: aggregator.AggregateState | None = None
 
     # source-only warm-up; shares the global poly schedule
     for w_step in range(cfg.warmup_epochs * cfg.iters_per_epoch):
@@ -182,20 +174,15 @@ def run_experiment(
             params, _ = model.grad_step(params, source_batch(), lr, dropout_seed=seed)
         except DivergenceError as exc:
             if out_dir:
-                _persist(out_dir, model, params, None, 0, rows, config_echo)
+                _persist(out_dir, params, aggregator.AggregateState(params, 1), 0, [], config_echo)
             raise DivergenceError(f"warm-up iteration {w_step + 1}: {exc}") from exc
         step += 1
 
     dist = sampler.init_uniform(n_target)
     dist_trace: list[np.ndarray] = []
-    snapshots: list[aggregator.Snapshot] = []
-    oracle_errors: list[float] = []
-    aggregate_params = params
+    agg = aggregator.Aggregator(cfg.aggregation, params, cfg.momentum, cfg.ema_decay)
     last_good = params.copy()
     lr = poly_lr(step, total_iter, cfg.lr0)
-    if cfg.aggregation == "ema":
-        # teacher starts as a copy of the student entering adaptation
-        aggregate_state = aggregator.AggregateState(mean_params=params.copy(), count=1)
 
     for t in range(1, cfg.epochs + 1):
         dist_trace.append(dist.weights.copy())
@@ -218,48 +205,20 @@ def run_experiment(
                 params = params - lr * (grad + reg_grad)
             except DivergenceError as exc:
                 if out_dir:
-                    _persist(out_dir, model, last_good, aggregate_state, t - 1, rows, config_echo)
+                    _persist(out_dir, last_good, agg.state, t - 1, rows, config_echo)
                 raise DivergenceError(f"epoch {t} iteration {i + 1}: {exc}") from exc
-            if cfg.aggregation == "ema":
-                aggregate_state = aggregator.update_ema(aggregate_state, params, cfg.ema_decay)
+            agg.after_step(params)
             step += 1
         last_good = params.copy()
 
-        snap = aggregator.Snapshot(params=params.copy(), epoch=t)
-        snapshots.append(snap)
-        student_tgt_cm = None
-        if cfg.aggregation == "running-mean":
-            aggregate_state = (
-                aggregator.init(snap)
-                if aggregate_state is None
-                else aggregator.update_running_mean(aggregate_state, snap)
-            )
-            aggregate_params = aggregate_state.mean_params
-        elif cfg.aggregation == "momentum":
-            aggregate_state = (
-                aggregator.init(snap)
-                if aggregate_state is None
-                else aggregator.update_momentum(aggregate_state, snap, cfg.momentum)
-            )
-            aggregate_params = aggregate_state.mean_params
-        elif cfg.aggregation == "ema":
-            aggregate_params = aggregate_state.mean_params
-        elif cfg.aggregation == "oracle-alpha":
-            student_tgt_cm = dataset_confusion(
-                model, params, data.target_images, data.target_labels_heldout
-            )
-            err = float(np.clip(1.0 - pixel_accuracy(student_tgt_cm), 1e-6, 1.0 - 1e-6))
-            oracle_errors.append(err)
-            alphas = [aggregator.adaboost_alpha(e) for e in oracle_errors]
-            if min(alphas) <= 0.0 or sum(alphas) <= 0.0:
-                # boosting weights degenerate when a snapshot is no better
-                # than chance; fall back to the plain mean
-                alphas = [1.0] * len(snapshots)
-            combined = aggregator.weighted_combine(snapshots, alphas)
-            aggregate_state = aggregator.AggregateState(mean_params=combined, count=t)
-            aggregate_params = combined
-        else:  # "none"
-            aggregate_params = params
+        # the student's held-out target confusion, computed at most once
+        student_tgt_cm = functools.cache(
+            lambda: dataset_confusion(model, params, data.target_images, data.target_labels_heldout)
+        )
+        aggregate_params = agg.after_epoch(
+            aggregator.Snapshot(params=last_good, epoch=t),
+            lambda: 1.0 - pixel_accuracy(student_tgt_cm()),
+        )
 
         # distribution phase: aggregate held fixed while D is refreshed
         scores = score_fn(model, aggregate_params, view.target_images, criterion)
@@ -270,21 +229,13 @@ def run_experiment(
 
         # each distinct (params, image set) is forwarded once per epoch: the
         # scoring pass's predictions give the aggregate's target confusion
-        if scores.predicted is None:
-            raise ValueError("scorer returned no fused predictions")
         aggregate_tgt_cm = confusion_matrix(
             scores.predicted, data.target_labels_heldout, model.config.classes
         )
-        if student_tgt_cm is None:
-            student_tgt_cm = (
-                aggregate_tgt_cm
-                if np.array_equal(aggregate_params, params)
-                else dataset_confusion(
-                    model, params, data.target_images, data.target_labels_heldout
-                )
-            )
+        student_tgt = miou(
+            aggregate_tgt_cm if np.array_equal(aggregate_params, params) else student_tgt_cm()
+        )
         student_src = evaluate_miou(model, params, data.source_images, data.source_labels)
-        student_tgt = miou(student_tgt_cm)
         aggregate_tgt = miou(aggregate_tgt_cm)
         rows.append(
             EpochRow(
@@ -302,16 +253,16 @@ def run_experiment(
 
     report = MetricsReport(rows=tuple(rows), config_echo=config_echo)
     if out_dir:
-        _persist(out_dir, model, params, aggregate_state, cfg.epochs, rows, config_echo)
+        _persist(out_dir, params, agg.state, cfg.epochs, rows, config_echo)
         if cfg.dump_distributions:
             _write_distributions(os.path.join(out_dir, DISTRIBUTIONS_NAME), dist_trace)
     return RunResult(
         report=report,
         student=params,
-        aggregate=aggregate_params,
+        aggregate=agg.state.mean_params,
         distribution=dist,
         distributions=tuple(dist_trace),
-        snapshots=tuple(snapshots),
+        snapshots=tuple(agg.snapshots),
         model=model,
     )
 

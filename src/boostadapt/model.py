@@ -336,14 +336,13 @@ class TwoHeadModel:
         self,
         params: np.ndarray,
         batch: Sequence[tuple[np.ndarray, np.ndarray]],
-        aux_weight: float | None = None,
         dropout_seed: int | None = None,
     ) -> tuple[float, np.ndarray]:
-        """Mean over batch of (pixel-mean primary CE + aux_weight * aux CE),
+        """Mean over batch of (pixel-mean primary CE + aux_loss_weight * aux CE),
         through the fused log-softmax path, and its gradient."""
         if len(batch) == 0:
             raise ValueError("empty batch")
-        lam = self.config.aux_loss_weight if aux_weight is None else aux_weight
+        lam = self.config.aux_loss_weight
         n_pix = self.config.height * self.config.width
         n = len(batch)
         flats = np.stack([self._check_labels(labels).reshape(-1) for _, labels in batch])
@@ -368,13 +367,12 @@ class TwoHeadModel:
         params: np.ndarray,
         batch: Sequence[tuple[np.ndarray, np.ndarray]],
         lr: float,
-        aux_weight: float | None = None,
         dropout_seed: int | None = None,
     ) -> tuple[np.ndarray, float]:
         """One SGD step on a labeled batch. Returns (new params, loss)."""
         if lr < 0.0:
             raise ValueError("lr must be >= 0")
-        loss, grad = self.loss_and_grad(params, batch, aux_weight, dropout_seed)
+        loss, grad = self.loss_and_grad(params, batch, dropout_seed)
         if not np.isfinite(loss):
             raise DivergenceError(f"non-finite loss {loss!r} in grad_step")
         return params - lr * grad, loss

@@ -9,33 +9,12 @@ two runs of the same config produce byte-identical files.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
-from typing import Sequence
+from dataclasses import dataclass, fields
+from typing import Sequence, get_type_hints
 
 from .errors import FormatError
 from .metrics import trajectory_stats
 from .paramio import write_atomic
-
-COLUMNS = (
-    "epoch",
-    "iter",
-    "variant",
-    "lr",
-    "student_src_miou",
-    "student_tgt_miou",
-    "aggregate_tgt_miou",
-    "dist_entropy",
-    "mean_vkl",
-)
-
-SUMMARY_COLUMNS = (
-    "variant",
-    "seed",
-    "final_student_miou",
-    "final_aggregate_miou",
-    "lastk_student_std",
-    "lastk_aggregate_std",
-)
 
 
 @dataclass(frozen=True)
@@ -49,6 +28,21 @@ class EpochRow:
     aggregate_tgt_miou: float
     dist_entropy: float
     mean_vkl: float
+
+
+@dataclass(frozen=True)
+class SummaryRow:
+    variant: str
+    seed: int
+    final_student_miou: float
+    final_aggregate_miou: float
+    lastk_student_std: float
+    lastk_aggregate_std: float
+
+
+# the row dataclasses are the CSV schema: field order is column order
+COLUMNS = tuple(f.name for f in fields(EpochRow))
+SUMMARY_COLUMNS = tuple(f.name for f in fields(SummaryRow))
 
 
 @dataclass(frozen=True)
@@ -88,21 +82,42 @@ def _cell(value: object) -> str:
     return str(value)
 
 
-def write_report(path: str, report: MetricsReport) -> None:
-    lines = ["# config: " + json.dumps(report.config_echo, sort_keys=True)]
-    lines.append(",".join(COLUMNS))
-    for row in report.rows:
-        d = asdict(row)
-        lines.append(",".join(_cell(d[c]) for c in COLUMNS))
+def _write_table(path: str, preamble: list[str], columns: tuple[str, ...], rows: Sequence) -> None:
+    lines = preamble + [",".join(columns)]
+    lines += [",".join(_cell(getattr(row, c)) for c in columns) for row in rows]
     write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
-def read_report(path: str) -> MetricsReport:
+def _read_lines(path: str, what: str) -> list[str]:
     try:
         with open(path) as fh:
-            lines = fh.read().splitlines()
+            return fh.read().splitlines()
     except OSError as exc:
-        raise FormatError(f"cannot read report {path}: {exc}") from exc
+        raise FormatError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _parse_rows(path: str, row_type: type, lines: Sequence[str]) -> list:
+    """One ``row_type`` per non-empty line, each cell converted by the type
+    its field is annotated with."""
+    types = tuple(get_type_hints(row_type).values())
+    rows = []
+    for ln in lines:
+        if not ln:
+            continue
+        parts = ln.split(",")
+        if len(parts) != len(types):
+            raise FormatError(f"bad row in {path}: {ln!r}")
+        rows.append(row_type(*(typ(cell) for typ, cell in zip(types, parts))))
+    return rows
+
+
+def write_report(path: str, report: MetricsReport) -> None:
+    header = "# config: " + json.dumps(report.config_echo, sort_keys=True)
+    _write_table(path, [header], COLUMNS, report.rows)
+
+
+def read_report(path: str) -> MetricsReport:
+    lines = _read_lines(path, "report")
     if len(lines) < 2 or not lines[0].startswith("# config: "):
         raise FormatError(f"{path} is missing the config header line")
     try:
@@ -111,70 +126,16 @@ def read_report(path: str) -> MetricsReport:
         raise FormatError(f"bad config header in {path}: {exc}") from exc
     if lines[1] != ",".join(COLUMNS):
         raise FormatError(f"{path} has unexpected columns: {lines[1]!r}")
-    rows = []
-    for ln in lines[2:]:
-        if not ln:
-            continue
-        parts = ln.split(",")
-        if len(parts) != len(COLUMNS):
-            raise FormatError(f"bad row in {path}: {ln!r}")
-        rows.append(
-            EpochRow(
-                epoch=int(parts[0]),
-                iter=int(parts[1]),
-                variant=parts[2],
-                lr=float(parts[3]),
-                student_src_miou=float(parts[4]),
-                student_tgt_miou=float(parts[5]),
-                aggregate_tgt_miou=float(parts[6]),
-                dist_entropy=float(parts[7]),
-                mean_vkl=float(parts[8]),
-            )
-        )
+    rows = _parse_rows(path, EpochRow, lines[2:])
     return MetricsReport(rows=tuple(rows), config_echo=config_echo)
 
 
-@dataclass(frozen=True)
-class SummaryRow:
-    variant: str
-    seed: int
-    final_student_miou: float
-    final_aggregate_miou: float
-    lastk_student_std: float
-    lastk_aggregate_std: float
-
-
 def write_summary(path: str, rows: Sequence[SummaryRow]) -> None:
-    lines = [",".join(SUMMARY_COLUMNS)]
-    for row in rows:
-        d = asdict(row)
-        lines.append(",".join(_cell(d[c]) for c in SUMMARY_COLUMNS))
-    write_atomic(path, ("\n".join(lines) + "\n").encode())
+    _write_table(path, [], SUMMARY_COLUMNS, rows)
 
 
 def read_summary(path: str) -> list[SummaryRow]:
-    try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise FormatError(f"cannot read summary {path}: {exc}") from exc
+    lines = _read_lines(path, "summary")
     if not lines or lines[0] != ",".join(SUMMARY_COLUMNS):
         raise FormatError(f"{path} has unexpected summary columns")
-    out = []
-    for ln in lines[1:]:
-        if not ln:
-            continue
-        parts = ln.split(",")
-        if len(parts) != len(SUMMARY_COLUMNS):
-            raise FormatError(f"bad row in {path}: {ln!r}")
-        out.append(
-            SummaryRow(
-                variant=parts[0],
-                seed=int(parts[1]),
-                final_student_miou=float(parts[2]),
-                final_aggregate_miou=float(parts[3]),
-                lastk_student_std=float(parts[4]),
-                lastk_aggregate_std=float(parts[5]),
-            )
-        )
-    return out
+    return _parse_rows(path, SummaryRow, lines[1:])

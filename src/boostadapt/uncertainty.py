@@ -27,7 +27,7 @@ class ScoreVector:
     criterion: str
     # (N, H, W) argmax of the fused prediction the scoring pass computed, so
     # evaluating the scored params on the same images needs no second pass
-    predicted: np.ndarray | None = None
+    predicted: np.ndarray
 
     def __post_init__(self) -> None:
         if self.criterion not in CRITERIA:

@@ -1,11 +1,16 @@
 """Snapshot aggregation: online mean vs batch oracle, baselines, boosting weights."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import boostadapt
 from boostadapt import paramio
 from boostadapt.aggregator import (
     AggregateState,
+    Aggregator,
     Snapshot,
     adaboost_alpha,
     init,
@@ -15,6 +20,7 @@ from boostadapt.aggregator import (
     update_running_mean,
     weighted_combine,
 )
+from boostadapt.config import AGGREGATIONS
 
 
 def make_snapshots(rng, count, dim):
@@ -153,3 +159,89 @@ class TestSerialization:
         np.testing.assert_array_equal(
             loaded.params.view(np.uint64), state.mean_params.view(np.uint64)
         )
+
+
+def reference_states(policy, start, epochs, errors, momentum, decay):
+    """The per-epoch aggregate states the module functions give, chained by
+    hand: the oracle for ``Aggregator``."""
+    state = AggregateState(mean_params=start.copy(), count=1)
+    snaps, out = [], []
+    for t, steps in enumerate(epochs, start=1):
+        for p in steps:
+            if policy == "ema":
+                state = update_ema(state, p, decay)
+        snap = Snapshot(params=steps[-1].copy(), epoch=t)
+        snaps.append(snap)
+        if policy == "running-mean":
+            state = init(snap) if t == 1 else update_running_mean(state, snap)
+        elif policy == "momentum":
+            state = init(snap) if t == 1 else update_momentum(state, snap, momentum)
+        elif policy == "oracle-alpha":
+            alphas = [adaboost_alpha(e) for e in errors[:t]]
+            if min(alphas) <= 0.0:
+                alphas = [1.0] * t
+            state = AggregateState(weighted_combine(snaps, alphas), t)
+        elif policy == "none":
+            state = AggregateState(snap.params, t)
+        out.append(state)
+    return out
+
+
+class TestAggregator:
+    # epochs 1-2 get boosting weights; epoch 3's error is worse than chance,
+    # so its combination falls back to the plain mean
+    ERRORS = (0.3, 0.2, 0.7)
+
+    def _run(self, policy, rng):
+        start = rng.normal(0, 1, 6)
+        epochs = [[rng.normal(0, 1, 6) for _ in range(4)] for _ in self.ERRORS]
+        agg = Aggregator(policy, start, momentum=0.7, ema_decay=0.9)
+        asked, states = [], []
+        for t, steps in enumerate(epochs, start=1):
+            for p in steps:
+                agg.after_step(p)
+
+            def heldout_error(t=t):
+                asked.append(t)
+                return self.ERRORS[t - 1]
+
+            params = agg.after_epoch(Snapshot(params=steps[-1].copy(), epoch=t), heldout_error)
+            assert params is agg.state.mean_params
+            states.append(agg.state)
+        want = reference_states(policy, start, epochs, self.ERRORS, 0.7, 0.9)
+        return agg, states, want, asked
+
+    @pytest.mark.parametrize("policy", AGGREGATIONS)
+    def test_matches_the_module_function_chain(self, policy):
+        agg, states, want, _ = self._run(policy, np.random.default_rng(9))
+        for got, ref in zip(states, want, strict=True):
+            assert np.array_equal(got.mean_params, ref.mean_params)
+            assert got.count == ref.count
+        assert [s.epoch for s in agg.snapshots] == [1, 2, 3]
+
+    @pytest.mark.parametrize("policy", AGGREGATIONS)
+    def test_heldout_error_asked_once_per_epoch_under_oracle_alpha_only(self, policy):
+        _, _, _, asked = self._run(policy, np.random.default_rng(10))
+        assert asked == ([1, 2, 3] if policy == "oracle-alpha" else [])
+
+    @pytest.mark.parametrize("policy", AGGREGATIONS)
+    def test_starts_as_a_copy_of_the_student(self, policy):
+        start = np.random.default_rng(11).normal(0, 1, 5)
+        agg = Aggregator(policy, start, momentum=0.5, ema_decay=0.5)
+        assert np.array_equal(agg.state.mean_params, start) and agg.state.count == 1
+        assert agg.state.mean_params is not start
+        assert agg.snapshots == []
+
+    def test_unknown_policy_rejected(self):
+        with pytest.raises(ValueError):
+            Aggregator("median", np.zeros(3), momentum=0.5, ema_decay=0.5)
+
+    def test_harness_leaves_the_policy_to_aggregator(self):
+        # run_experiment hands cfg.aggregation to Aggregator and never
+        # branches on it or calls an update rule itself
+        source = (Path(boostadapt.__file__).parent / "harness.py").read_text()
+        pattern = (
+            r"cfg\.aggregation\s*(==|!=|in\b|not\b)"
+            r"|update_ema|update_momentum|update_running_mean|adaboost_alpha|weighted_combine"
+        )
+        assert re.findall(pattern, source) == []

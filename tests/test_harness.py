@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from boostadapt.aggregator import adaboost_alpha, weighted_combine
-from boostadapt.config import VARIANT_PRESETS, apply_variant
+from boostadapt.config import AGGREGATIONS, VARIANT_PRESETS, apply_variant
 from boostadapt.data import generate_domain_pair
 from boostadapt.errors import DivergenceError
 from boostadapt.harness import (
@@ -259,6 +259,19 @@ class TestDivergenceHandling:
         assert np.all(np.isfinite(student.params))
         report = read_report(os.path.join(out, "report.csv"))
         assert len(report.rows) == 1
+
+    @pytest.mark.parametrize("aggregation", AGGREGATIONS)
+    def test_epoch_one_divergence_keeps_the_student_entering_adaptation(
+        self, tmp_path, aggregation
+    ):
+        cfg = small_experiment_config(aggregation=aggregation)
+        out = str(tmp_path / "diverged")
+        with pytest.raises(DivergenceError):
+            run_experiment(cfg, regularizer=self._nan_after(0), out_dir=out)
+        student = load_file(os.path.join(out, "student.abst"))
+        aggregate = load_file(os.path.join(out, "aggregate.abst"))
+        assert (student.seq, aggregate.seq) == (0, 1)
+        assert np.array_equal(aggregate.params, student.params)
 
 
 class TestArtifacts:

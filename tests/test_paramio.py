@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from boostadapt import paramio
+from boostadapt.data import export_domain_pair, generate_domain_pair
 from boostadapt.errors import SnapshotFormatError
 from boostadapt.harness import _write_distributions
 from boostadapt.paramio import (
@@ -20,6 +21,8 @@ from boostadapt.paramio import (
     save_snapshot,
 )
 from boostadapt.report import MetricsReport, SummaryRow, write_report, write_summary
+
+from helpers import small_shift_config
 
 
 @pytest.fixture
@@ -144,6 +147,22 @@ def _write_summary(path, k):
     write_summary(path, [SummaryRow("baseline", k, 0.5, 0.5, 0.0, 0.0)])
 
 
+class TornFile:
+    # writes half of what it is given, then fails like a full disk
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError("no space left on device")
+
+
 class TestAtomicWrites:
     @pytest.mark.parametrize(
         "write",
@@ -160,22 +179,6 @@ class TestAtomicWrites:
         path = str(tmp_path / "artifact")
         write(path, 1)
         before = Path(path).read_bytes()
-
-        class TornFile:
-            # writes half of what it is given, then fails like a full disk
-            def __init__(self, fh):
-                self.fh = fh
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-            def write(self, data):
-                self.fh.write(data[: len(data) // 2])
-                raise OSError("no space left on device")
-
         monkeypatch.setattr(
             paramio, "open", lambda *a: TornFile(open(*a)), raising=False
         )
@@ -187,3 +190,14 @@ class TestAtomicWrites:
         write(path, 2)
         assert Path(path).read_bytes() != before
         assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+    def test_failed_export_keeps_previous_export(self, tmp_path, monkeypatch):
+        out = tmp_path / "data"
+        export_domain_pair(generate_domain_pair(small_shift_config(seed=1)), str(out))
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        monkeypatch.setattr(
+            paramio, "open", lambda *a: TornFile(open(*a)), raising=False
+        )
+        with pytest.raises(OSError):
+            export_domain_pair(generate_domain_pair(small_shift_config(seed=2)), str(out))
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before

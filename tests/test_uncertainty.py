@@ -15,6 +15,8 @@ from boostadapt.uncertainty import (
 
 from helpers import random_image, small_model_config
 
+PRED = np.zeros((2, 1, 1), dtype=np.int64)  # fused predictions of two 1x1 images
+
 
 def brute_force_kl_image(primary, aux):
     """Independent oracle: explicit loops over pixels and classes."""
@@ -86,11 +88,11 @@ class TestImageScores:
 class TestScoreVector:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
-            ScoreVector(values=np.array([0.1, -0.2]), criterion="kl-variance")
+            ScoreVector(values=np.array([0.1, -0.2]), criterion="kl-variance", predicted=PRED)
         with pytest.raises(ValueError):
-            ScoreVector(values=np.array([0.1, np.nan]), criterion="kl-variance")
+            ScoreVector(values=np.array([0.1, np.nan]), criterion="kl-variance", predicted=PRED)
         with pytest.raises(ValueError):
-            ScoreVector(values=np.array([0.1]), criterion="bogus")
+            ScoreVector(values=np.array([0.1]), criterion="bogus", predicted=PRED[:1])
 
 
 class TestScoreDataset:
@@ -150,5 +152,5 @@ class TestNormalizeScores:
             normalize_scores(scores, temperature=0.0)
 
     def test_accepts_score_vector(self):
-        sv = ScoreVector(values=np.array([0.1, 0.4]), criterion="entropy")
+        sv = ScoreVector(values=np.array([0.1, 0.4]), criterion="entropy", predicted=PRED)
         np.testing.assert_allclose(normalize_scores(sv), softmax(sv.values), atol=1e-15)
