@@ -21,7 +21,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import DivergenceError
-from .numerics import EPS, _fold_sum, log_softmax, softmax
+from .numerics import EPS, _fold_sum, softmax_parts
 
 
 @dataclass(frozen=True)
@@ -62,11 +62,16 @@ def _im2col(grid: np.ndarray, radius: int) -> np.ndarray:
     k = 2 * radius + 1
     padded = np.zeros((*lead, h + 2 * radius, w + 2 * radius, d))
     padded[..., radius : radius + h, radius : radius + w, :] = grid
-    cols = np.empty((*lead, h, w, k, k, d))
-    for dy in range(k):
-        for dx in range(k):
-            cols[..., dy, dx, :] = padded[..., dy : dy + h, dx : dx + w, :]
-    return cols.reshape(*lead, h * w, k * k * d)
+    # (..., H, W, k, k*D) view: the k pixels of one neighborhood row are
+    # adjacent in the padded grid, so each row is one run of k*D floats
+    *lead_strides, row, pixel, _ = padded.strides
+    view = np.lib.stride_tricks.as_strided(
+        padded,
+        shape=(*lead, h, w, k, k * d),
+        strides=(*lead_strides, row, pixel, row, padded.itemsize),
+        writeable=False,
+    )
+    return view.reshape(*lead, h * w, k * k * d)
 
 
 def _col2im(cols: np.ndarray, h: int, w: int, d: int, radius: int) -> np.ndarray:
@@ -76,11 +81,17 @@ def _col2im(cols: np.ndarray, h: int, w: int, d: int, radius: int) -> np.ndarray
     if radius == 0:
         return cols.reshape(*lead, h, w, d)
     k = 2 * radius + 1
-    cols = cols.reshape(*lead, h, w, k, k, d)
+    # one transposed copy puts the k x k axes in front, so each add below
+    # reads one contiguous block; it moves each run of D floats as one opaque
+    # item, which numpy transposes faster than single floats. Every cell
+    # still gets its adds in (dy, dx) order.
+    run = np.dtype((np.void, d * cols.itemsize))
+    items = np.ascontiguousarray(cols).reshape(-1, k * k * d).view(run)
+    blocks = np.ascontiguousarray(items.T).view(cols.dtype).reshape(k, k, *lead, h, w, d)
     padded = np.zeros((*lead, h + 2 * radius, w + 2 * radius, d))
     for dy in range(k):
         for dx in range(k):
-            padded[..., dy : dy + h, dx : dx + w, :] += cols[..., dy, dx, :]
+            padded[..., dy : dy + h, dx : dx + w, :] += blocks[dy, dx]
     return padded[..., radius : radius + h, radius : radius + w, :]
 
 
@@ -102,6 +113,12 @@ class _ForwardCache:
     probs_p: np.ndarray
     logits_a: np.ndarray
     logits_p: np.ndarray
+    # each head's softmax intermediates: the max-shifted logits and the
+    # per-pixel normalizer, from which the training loss takes log-softmax
+    shifted_a: np.ndarray
+    shifted_p: np.ndarray
+    norm_a: np.ndarray
+    norm_p: np.ndarray
 
 
 class TwoHeadModel:
@@ -195,6 +212,8 @@ class TwoHeadModel:
         head_in_p = act2 if mask_p is None else act2 * mask_p
         logits_a = head_in_a @ wa + ba
         logits_p = head_in_p @ wp + bp
+        probs_a, shifted_a, norm_a = softmax_parts(logits_a)
+        probs_p, shifted_p, norm_p = softmax_parts(logits_p)
         return _ForwardCache(
             patches1=patches1,
             act1=act1,
@@ -202,10 +221,14 @@ class TwoHeadModel:
             act2=act2,
             head_in_a=head_in_a,
             head_in_p=head_in_p,
-            probs_a=softmax(logits_a),
-            probs_p=softmax(logits_p),
+            probs_a=probs_a,
+            probs_p=probs_p,
             logits_a=logits_a,
             logits_p=logits_p,
+            shifted_a=shifted_a,
+            shifted_p=shifted_p,
+            norm_a=norm_a,
+            norm_p=norm_p,
         )
 
     def _backward(
@@ -338,8 +361,10 @@ class TwoHeadModel:
         batch: Sequence[tuple[np.ndarray, np.ndarray]],
         dropout_seed: int | None = None,
     ) -> tuple[float, np.ndarray]:
-        """Mean over batch of (pixel-mean primary CE + aux_loss_weight * aux CE),
-        through the fused log-softmax path, and its gradient."""
+        """Mean over batch of (pixel-mean primary CE + aux_loss_weight * aux CE)
+        and its gradient. The CE is log-softmax at the label, read off the
+        forward's shifted logits and normalizer: the bits of ``log_softmax``
+        without a second pass over the logits."""
         if len(batch) == 0:
             raise ValueError("empty batch")
         lam = self.config.aux_loss_weight
@@ -350,8 +375,11 @@ class TwoHeadModel:
         def head_terms(span: slice, cache: _ForwardCache) -> tuple[np.ndarray, ...]:
             picks = flats[span][..., None]  # (m, H*W, 1)
             ce_p, ce_a = (
-                -np.take_along_axis(log_softmax(logits), picks, -1)[..., 0].mean(axis=-1)
-                for logits in (cache.logits_p, cache.logits_a)
+                -(np.take_along_axis(shifted, picks, -1)[..., 0] - np.log(norm)).mean(axis=-1)
+                for shifted, norm in (
+                    (cache.shifted_p, cache.norm_p),
+                    (cache.shifted_a, cache.norm_a),
+                )
             )
             onehot = np.zeros_like(cache.probs_p)
             np.put_along_axis(onehot, picks, 1.0, -1)

@@ -1,8 +1,10 @@
 """Shared numeric kernels: softmax, cross-entropy, pointwise KL, finite differences.
 
 All logs are natural. Probabilities are clamped at ``EPS`` before any log so
-inference-path losses stay finite; the training path goes through the fused
-log-softmax form instead of composing softmax with a log.
+inference-path losses stay finite. The training cross-entropy never takes the
+log of a probability: it reads the max-shifted logits and the normalizer that
+the forward's ``softmax_parts`` already computed, and takes
+``shifted[label] - log(normalizer)``, the bits of ``log_softmax`` at the label.
 """
 
 from __future__ import annotations
@@ -39,10 +41,14 @@ def _fold_sum(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Max-subtracted softmax along the last axis.
+def softmax_parts(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Softmax along the last axis with its intermediates: (probabilities,
+    max-shifted logits, normalizer), the normalizer being the fold-sum of
+    the shifted logits' exps, of the leading shape.
 
-    Rejects non-finite inputs and vectors with fewer than two entries.
+    ``shifted[label] - log(normalizer)`` is ``log_softmax(logits)[label]``
+    bit for bit. Rejects non-finite inputs and vectors with fewer than two
+    entries.
     """
     z = np.asarray(logits, dtype=np.float64)
     if z.shape[-1] < 2:
@@ -51,12 +57,21 @@ def softmax(logits: np.ndarray) -> np.ndarray:
         raise ValueError("softmax: non-finite logits")
     z = z - _fold_max(z)[..., None]
     e = np.exp(z)
-    return e / _fold_sum(e)[..., None]
+    norm = _fold_sum(e)
+    return e / norm[..., None], z, norm
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Max-subtracted softmax along the last axis.
+
+    Rejects non-finite inputs and vectors with fewer than two entries.
+    """
+    return softmax_parts(logits)[0]
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Fused log softmax along the last axis; numerically safe for use
-    inside training losses."""
+    """Fused log softmax along the last axis, the reference for the training
+    cross-entropy that ``TwoHeadModel`` reads off ``softmax_parts``."""
     z = np.asarray(logits, dtype=np.float64)
     if z.shape[-1] < 2:
         raise ValueError("log_softmax needs at least two entries along the last axis")

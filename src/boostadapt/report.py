@@ -96,18 +96,22 @@ def _read_lines(path: str, what: str) -> list[str]:
         raise FormatError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def _parse_rows(path: str, row_type: type, lines: Sequence[str]) -> list:
-    """One ``row_type`` per non-empty line, each cell converted by the type
-    its field is annotated with."""
+def _parse_rows(path: str, row_type: type, lines: Sequence[str], skip: int) -> list:
+    """One ``row_type`` per non-empty line after the first ``skip`` lines,
+    each cell converted by the type its field is annotated with."""
     types = tuple(get_type_hints(row_type).values())
     rows = []
-    for ln in lines:
+    for lineno, ln in enumerate(lines[skip:], start=skip + 1):
         if not ln:
             continue
         parts = ln.split(",")
         if len(parts) != len(types):
             raise FormatError(f"bad row in {path}: {ln!r}")
-        rows.append(row_type(*(typ(cell) for typ, cell in zip(types, parts))))
+        try:
+            cells = [typ(cell) for typ, cell in zip(types, parts)]
+        except ValueError as exc:
+            raise FormatError(f"bad cell in {path} line {lineno}: {exc}") from exc
+        rows.append(row_type(*cells))
     return rows
 
 
@@ -126,7 +130,7 @@ def read_report(path: str) -> MetricsReport:
         raise FormatError(f"bad config header in {path}: {exc}") from exc
     if lines[1] != ",".join(COLUMNS):
         raise FormatError(f"{path} has unexpected columns: {lines[1]!r}")
-    rows = _parse_rows(path, EpochRow, lines[2:])
+    rows = _parse_rows(path, EpochRow, lines, skip=2)
     return MetricsReport(rows=tuple(rows), config_echo=config_echo)
 
 
@@ -138,4 +142,4 @@ def read_summary(path: str) -> list[SummaryRow]:
     lines = _read_lines(path, "summary")
     if not lines or lines[0] != ",".join(SUMMARY_COLUMNS):
         raise FormatError(f"{path} has unexpected summary columns")
-    return _parse_rows(path, SummaryRow, lines[1:])
+    return _parse_rows(path, SummaryRow, lines, skip=1)

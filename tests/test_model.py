@@ -17,10 +17,48 @@ from boostadapt.model import (
     poly_lr,
     source_loss,
 )
-from boostadapt.numerics import cross_entropy, finite_difference_gradient
+from boostadapt.numerics import cross_entropy, finite_difference_gradient, log_softmax, softmax
 from boostadapt.regularizers import entropy_min_regularizer, self_training_regularizer
 
 from helpers import max_rel_error, random_image, random_labels, small_model_config
+
+
+def loop_im2col(grid, radius):
+    """Reference gather: one strided copy per (dy, dx) offset."""
+    *lead, h, w, d = grid.shape
+    if radius == 0:
+        return grid.reshape(*lead, h * w, d)
+    k = 2 * radius + 1
+    padded = np.zeros((*lead, h + 2 * radius, w + 2 * radius, d))
+    padded[..., radius : radius + h, radius : radius + w, :] = grid
+    cols = np.empty((*lead, h, w, k, k, d))
+    for dy in range(k):
+        for dx in range(k):
+            cols[..., dy, dx, :] = padded[..., dy : dy + h, dx : dx + w, :]
+    return cols.reshape(*lead, h * w, k * k * d)
+
+
+def loop_col2im(cols, h, w, d, radius):
+    """Reference scatter-add, straight from the strided (..., H, W, k, k, D) view."""
+    lead = cols.shape[:-2]
+    if radius == 0:
+        return cols.reshape(*lead, h, w, d)
+    k = 2 * radius + 1
+    cols = cols.reshape(*lead, h, w, k, k, d)
+    padded = np.zeros((*lead, h + 2 * radius, w + 2 * radius, d))
+    for dy in range(k):
+        for dx in range(k):
+            padded[..., dy : dy + h, dx : dx + w, :] += cols[..., dy, dx, :]
+    return padded[..., radius : radius + h, radius : radius + w, :]
+
+
+def same_bits(got, want):
+    """Equal shapes and values, signs of zeros included."""
+    return (
+        got.shape == want.shape
+        and np.array_equal(got, want)
+        and np.array_equal(np.signbit(got), np.signbit(want))
+    )
 
 
 class TestConfig:
@@ -59,14 +97,31 @@ class TestPatches:
         # <im2col(x), y> == <x, col2im(y)> for random x, y: the scatter-add
         # backward is exactly the transpose of the gather forward
         rng = np.random.default_rng(0)
-        for radius in (0, 1, 2):
-            h, w, d = 5, 4, 3
-            k = 2 * radius + 1
-            x = rng.normal(0, 1, (h, w, d))
-            y = rng.normal(0, 1, (h * w, k * k * d))
-            lhs = float((_im2col(x, radius) * y).sum())
-            rhs = float((x * _col2im(y, h, w, d, radius)).sum())
-            np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
+        for lead in ((), (2, 3)):
+            for radius in (0, 1, 2):
+                h, w, d = 5, 4, 3
+                k = 2 * radius + 1
+                x = rng.normal(0, 1, (*lead, h, w, d))
+                y = rng.normal(0, 1, (*lead, h * w, k * k * d))
+                lhs = float((_im2col(x, radius) * y).sum())
+                rhs = float((x * _col2im(y, h, w, d, radius)).sum())
+                np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
+
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    @pytest.mark.parametrize("radius", [0, 1, 2])
+    def test_kernels_equal_loop_reference(self, lead, radius):
+        # the strided-view gather and the k x k-first scatter-add give the
+        # loops' bits, signs of zeros included, on non-square grids
+        rng = np.random.default_rng(31 + radius)
+        k = 2 * radius + 1
+        for h, w, d in ((5, 7, 3), (4, 3, 8), (1, 1, 2)):
+            x = rng.normal(0, 1, (*lead, h, w, d))
+            x[x < -0.5] = -0.0
+            y = rng.normal(0, 1, (*lead, h * w, k * k * d))
+            y[y < -0.5] = -0.0
+            y[..., ::5] *= 1e-17  # small addends make the add order show
+            assert same_bits(_im2col(x, radius), loop_im2col(x, radius))
+            assert same_bits(_col2im(y, h, w, d, radius), loop_col2im(y, h, w, d, radius))
 
     def test_zero_padding_at_border(self):
         x = np.ones((2, 2, 1))
@@ -175,6 +230,35 @@ class TestLoss:
             composed = source_loss(primary, aux, labels, cfg.aux_loss_weight)
             fused = model.loss_and_grad(params, [(image, labels)])[0]
             np.testing.assert_allclose(fused, composed, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("size, classes", [(16, 3), (16, 5), (32, 3), (32, 5)])
+    def test_loss_bits_equal_log_softmax_oracle(self, size, classes):
+        # the loss read off the forward's shifted logits and normalizer has
+        # the bits of -log_softmax(logits)[label] summed in the same order,
+        # and the cached probabilities are softmax(logits) exactly
+        cfg = ModelConfig(height=size, width=size, classes=classes)
+        model = TwoHeadModel(cfg)
+        lam = cfg.aux_loss_weight
+        rng = np.random.default_rng(size + classes)
+        params = model.init_params(classes)
+        for n in (1, 2, 7, 15):
+            images = list(rng.normal(0.0, 2.0, (n, size, size, cfg.features)))
+            labels = rng.integers(0, classes, (n, size * size))
+            batch = [(image, flat.reshape(size, size)) for image, flat in zip(images, labels)]
+
+            def oracle_terms(span, cache):
+                assert same_bits(cache.probs_p, softmax(cache.logits_p))
+                assert same_bits(cache.probs_a, softmax(cache.logits_a))
+                picks = labels[span][..., None]
+                ce_p, ce_a = (
+                    -np.take_along_axis(log_softmax(logits), picks, -1)[..., 0].mean(axis=-1)
+                    for logits in (cache.logits_p, cache.logits_a)
+                )
+                return (ce_p + lam * ce_a) / n, np.zeros_like(cache.logits_p), None
+
+            for dropout_seed in (None, 6):
+                want, _ = model.value_and_grad(params, images, oracle_terms, dropout_seed)
+                assert model.loss_and_grad(params, batch, dropout_seed)[0] == want
 
     def test_source_loss_matches_per_pixel_summation(self):
         # independent oracle: loop over pixels with the scalar cross-entropy
@@ -294,9 +378,6 @@ class TestGradient:
         images = list(rng.normal(0.0, 1.5, (n, cfg.height, cfg.width, cfg.features)))
         labels = list(rng.integers(0, cfg.classes, (n, cfg.height, cfg.width)))
         coef = rng.normal(size=(n, 2, cfg.height * cfg.width, cfg.classes))
-
-        def same_bits(got, want):
-            return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
         def linear(span, cache):
             c = coef[span]

@@ -1,5 +1,6 @@
 """Report CSV: exact columns, lossless float round-trip, summaries."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +86,20 @@ class TestReportFile:
         with pytest.raises(FormatError):
             read_report(str(path))
 
+    @pytest.mark.parametrize("column", ["epoch", "lr"])
+    def test_malformed_number_is_format_error(self, tmp_path, column):
+        # an int cell and a float cell that do not parse
+        path = tmp_path / "report.csv"
+        write_report(str(path), make_report(3))
+        lines = path.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[COLUMNS.index(column)] = "x"
+        lines[3] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=re.escape(f"{path} line 4")) as info:
+            read_report(str(path))
+        assert isinstance(info.value.__cause__, ValueError)
+
 
 class TestSummary:
     def test_last_k_stats(self):
@@ -108,6 +123,19 @@ class TestSummary:
         )
         assert read_summary(path) == rows
         assert tuple(SUMMARY_COLUMNS) == tuple(header.split(","))
+
+    @pytest.mark.parametrize("column", ["seed", "final_student_miou"])
+    def test_malformed_number_is_format_error(self, tmp_path, column):
+        path = tmp_path / "summary.csv"
+        write_summary(str(path), [SummaryRow("baseline", 1, 0.5, 0.5, 0.01, 0.01)])
+        lines = path.read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[SUMMARY_COLUMNS.index(column)] = "1.5.2"
+        lines[1] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=re.escape(f"{path} line 2")) as info:
+            read_summary(str(path))
+        assert isinstance(info.value.__cause__, ValueError)
 
     def test_columns_tuple_matches_rows(self):
         assert len(COLUMNS) == 9
