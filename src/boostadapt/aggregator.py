@@ -127,8 +127,8 @@ class Aggregator:
     """One run's aggregation policy, one of ``config.AGGREGATIONS``: the
     training loop calls ``after_step`` after every adaptation iteration and
     ``after_epoch`` at every epoch end. ``state`` starts as a copy of the
-    student entering adaptation (the EMA teacher's start, and the aggregate a
-    run diverging in epoch 1 keeps); ``snapshots`` holds every epoch's."""
+    student entering adaptation (the EMA teacher's start); ``snapshots``
+    holds every epoch's."""
 
     def __init__(self, policy: str, start_params: np.ndarray, momentum: float, ema_decay: float):
         if policy not in AGGREGATIONS:

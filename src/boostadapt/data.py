@@ -14,6 +14,7 @@ all target label maps, then source noise, then target noise.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass
@@ -29,7 +30,7 @@ GEOMETRIES = ("blobs", "stripes", "checker")
 
 MANIFEST_NAME = "manifest.json"
 _MANIFEST_FORMAT = "domain-pair"
-_MANIFEST_VERSION = 1
+_MANIFEST_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -165,15 +166,23 @@ _ARRAY_FIELDS = (
 
 
 def export_domain_pair(pair: DomainPair, out_dir: str) -> None:
-    """Write a manifest plus one raw little-endian array file per field."""
+    """Write one raw little-endian array file per field, then a manifest
+    holding each file's sha256. The manifest goes last, so an export torn
+    between the two leaves array files the manifest does not match."""
     os.makedirs(out_dir, exist_ok=True)
     arrays = {}
     for name in _ARRAY_FIELDS:
         arr = getattr(pair, name)
         dtype = "<i8" if arr.dtype.kind == "i" else "<f8"
         fname = f"{name}.bin"
-        write_atomic(os.path.join(out_dir, fname), arr.astype(dtype).tobytes())
-        arrays[name] = {"file": fname, "dtype": dtype, "shape": list(arr.shape)}
+        blob = arr.astype(dtype).tobytes()
+        write_atomic(os.path.join(out_dir, fname), blob)
+        arrays[name] = {
+            "file": fname,
+            "dtype": dtype,
+            "shape": list(arr.shape),
+            "sha256": hashlib.sha256(blob).hexdigest(),
+        }
     manifest = {
         "format": _MANIFEST_FORMAT,
         "version": _MANIFEST_VERSION,
@@ -185,7 +194,8 @@ def export_domain_pair(pair: DomainPair, out_dir: str) -> None:
 
 
 def import_domain_pair(in_dir: str) -> DomainPair:
-    """Inverse of ``export_domain_pair``; round-trips bit-exactly."""
+    """Inverse of ``export_domain_pair``; round-trips bit-exactly. An array
+    file whose sha256 differs from its manifest entry raises ``FormatError``."""
     path = os.path.join(in_dir, MANIFEST_NAME)
     try:
         with open(path) as fh:
@@ -208,9 +218,14 @@ def import_domain_pair(in_dir: str) -> DomainPair:
             entry = manifest["arrays"][name]
             fpath = os.path.join(in_dir, entry["file"])
             shape = tuple(int(v) for v in entry["shape"])
-            arr = np.fromfile(fpath, dtype=entry["dtype"])
+            with open(fpath, "rb") as fh:
+                blob = fh.read()
+            arr = np.frombuffer(blob, dtype=entry["dtype"])
+            digest = entry["sha256"]
         except (KeyError, TypeError, OSError, ValueError) as exc:
             raise FormatError(f"bad array entry {name!r} in {path}: {exc}") from exc
+        if hashlib.sha256(blob).hexdigest() != digest:
+            raise FormatError(f"array file {fpath} does not match the sha256 in {path}")
         if arr.size != int(np.prod(shape)):
             raise FormatError(
                 f"array {name!r} has {arr.size} values, expected shape {shape}"

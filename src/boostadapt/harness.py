@@ -87,13 +87,13 @@ def _persist(
     out_dir: str,
     student: np.ndarray,
     aggregate_state: aggregator.AggregateState,
-    epoch: int,
     rows: Sequence[EpochRow],
     config_echo: dict,
 ) -> None:
+    """Student seq is the number of completed epochs, ``len(rows)``."""
     os.makedirs(out_dir, exist_ok=True)
     paramio.save_snapshot(
-        os.path.join(out_dir, STUDENT_NAME), student, paramio.ROLE_STUDENT, epoch
+        os.path.join(out_dir, STUDENT_NAME), student, paramio.ROLE_STUDENT, len(rows)
     )
     aggregator.save_aggregate(os.path.join(out_dir, AGGREGATE_NAME), aggregate_state)
     write_report(
@@ -106,7 +106,7 @@ def _write_distributions(path: str, dists: Sequence[np.ndarray]) -> None:
     lines = ["epoch,index,weight"]
     for t, weights in enumerate(dists, start=1):
         for j, w in enumerate(weights):
-            lines.append(f"{t},{j},{w!r}")
+            lines.append(f"{t},{j},{float(w)!r}")
     paramio.write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
@@ -120,8 +120,9 @@ def run_experiment(
     out_dir: str | None = None,
 ) -> RunResult:
     """Run one experiment. Writes report + snapshots when an out dir is given
-    (argument wins over ``cfg.out_dir``); on divergence the last epoch-end
-    state is persisted before the error propagates."""
+    (argument wins over ``cfg.out_dir``). On divergence it first persists
+    the student entering the failing warm-up step (seq 0, aggregate = it,
+    seq 1) or the student, aggregate and rows of the last completed epoch."""
     out_dir = out_dir or cfg.out_dir
     variant = variant_label or f"{cfg.sampler}+{cfg.aggregation}"
     model = TwoHeadModel(cfg.model_config())
@@ -165,95 +166,86 @@ def run_experiment(
         return batch
 
     rows: list[EpochRow] = []
-
-    # source-only warm-up; shares the global poly schedule
-    for w_step in range(cfg.warmup_epochs * cfg.iters_per_epoch):
-        lr = poly_lr(step, total_iter, cfg.lr0)
-        seed = int(dropout_rng.integers(0, 2**62))
-        try:
-            params, _ = model.grad_step(params, source_batch(), lr, dropout_seed=seed)
-        except DivergenceError as exc:
-            if out_dir:
-                _persist(out_dir, params, aggregator.AggregateState(params, 1), 0, [], config_echo)
-            raise DivergenceError(f"warm-up iteration {w_step + 1}: {exc}") from exc
-        step += 1
-
-    dist = sampler.init_uniform(n_target)
-    dist_trace: list[np.ndarray] = []
-    agg = aggregator.Aggregator(cfg.aggregation, params, cfg.momentum, cfg.ema_decay)
-    last_good = params.copy()
-    lr = poly_lr(step, total_iter, cfg.lr0)
-
-    for t in range(1, cfg.epochs + 1):
-        dist_trace.append(dist.weights.copy())
-        for i in range(cfg.iters_per_epoch):
+    # what a divergence persists: kept after each warm-up step and epoch end
+    kept = (params, aggregator.AggregateState(params, 1))
+    try:
+        # source-only warm-up; shares the global poly schedule
+        for w_step in range(cfg.warmup_epochs * cfg.iters_per_epoch):
+            where = f"warm-up iteration {w_step + 1}"
             lr = poly_lr(step, total_iter, cfg.lr0)
-            batch = source_batch()
-            target_idx = sampler.draw(dist, sampling_rng, cfg.batch_size)
-            target_batch = [view.target_images[j] for j in target_idx]
             seed = int(dropout_rng.integers(0, 2**62))
-            try:
-                loss, grad = model.loss_and_grad(params, batch, dropout_seed=seed)
-                reg_loss, reg_grad = reg(params, target_batch)
-                if reg_grad.shape != (model.param_count,):
-                    raise ValueError(
-                        f"regularizer gradient has shape {reg_grad.shape}, "
-                        f"expected ({model.param_count},)"
-                    )
-                if not np.isfinite(loss + reg_loss):
-                    raise DivergenceError(f"non-finite loss {loss + reg_loss!r}")
-                params = params - lr * (grad + reg_grad)
-            except DivergenceError as exc:
-                if out_dir:
-                    _persist(out_dir, last_good, agg.state, t - 1, rows, config_echo)
-                raise DivergenceError(f"epoch {t} iteration {i + 1}: {exc}") from exc
-            agg.after_step(params)
+            params, _ = model.grad_step(params, source_batch(), lr, dropout_seed=seed)
+            kept = (params, aggregator.AggregateState(params, 1))
             step += 1
-        last_good = params.copy()
 
-        # the student's held-out target confusion, computed at most once
-        student_tgt_cm = functools.cache(
-            lambda: dataset_confusion(model, params, data.target_images, data.target_labels_heldout)
-        )
-        aggregate_params = agg.after_epoch(
-            aggregator.Snapshot(params=last_good, epoch=t),
-            lambda: 1.0 - pixel_accuracy(student_tgt_cm()),
-        )
+        dist = sampler.init_uniform(n_target)
+        dist_trace: list[np.ndarray] = []
+        agg = aggregator.Aggregator(cfg.aggregation, params, cfg.momentum, cfg.ema_decay)
 
-        # distribution phase: aggregate held fixed while D is refreshed
-        scores = score_fn(model, aggregate_params, view.target_images, criterion)
-        used_entropy = float(entropy(dist.weights))
-        mean_score = float(np.mean(scores.values))
-        if cfg.sampler != "uniform":
-            dist = sampler.update(dist, normalize_scores(scores, cfg.softmax_temperature))
+        for t in range(1, cfg.epochs + 1):
+            dist_trace.append(dist.weights)
+            for i in range(cfg.iters_per_epoch):
+                where = f"epoch {t} iteration {i + 1}"
+                lr = poly_lr(step, total_iter, cfg.lr0)
+                batch = source_batch()
+                target_idx = sampler.draw(dist, sampling_rng, cfg.batch_size)
+                target_batch = [view.target_images[j] for j in target_idx]
+                seed = int(dropout_rng.integers(0, 2**62))
+                term = reg(params, target_batch)
+                params, _ = model.grad_step(params, batch, lr, dropout_seed=seed, term=term)
+                agg.after_step(params)
+                step += 1
 
-        # each distinct (params, image set) is forwarded once per epoch: the
-        # scoring pass's predictions give the aggregate's target confusion
-        aggregate_tgt_cm = confusion_matrix(
-            scores.predicted, data.target_labels_heldout, model.config.classes
-        )
-        student_tgt = miou(
-            aggregate_tgt_cm if np.array_equal(aggregate_params, params) else student_tgt_cm()
-        )
-        student_src = evaluate_miou(model, params, data.source_images, data.source_labels)
-        aggregate_tgt = miou(aggregate_tgt_cm)
-        rows.append(
-            EpochRow(
-                epoch=t,
-                iter=step,
-                variant=variant,
-                lr=lr,
-                student_src_miou=student_src,
-                student_tgt_miou=student_tgt,
-                aggregate_tgt_miou=aggregate_tgt,
-                dist_entropy=used_entropy,
-                mean_vkl=mean_score,
+            # the student's held-out target confusion, computed at most once
+            student_tgt_cm = functools.cache(
+                lambda: dataset_confusion(
+                    model, params, data.target_images, data.target_labels_heldout
+                )
             )
-        )
+            aggregate_params = agg.after_epoch(
+                aggregator.Snapshot(params=params, epoch=t),
+                lambda: 1.0 - pixel_accuracy(student_tgt_cm()),
+            )
+
+            # distribution phase: aggregate held fixed while D is refreshed
+            scores = score_fn(model, aggregate_params, view.target_images, criterion)
+            used_entropy = float(entropy(dist.weights))
+            mean_score = float(np.mean(scores.values))
+            if cfg.sampler != "uniform":
+                dist = sampler.update(dist, normalize_scores(scores, cfg.softmax_temperature))
+
+            # each distinct (params, image set) is forwarded once per epoch: the
+            # scoring pass's predictions give the aggregate's target confusion
+            aggregate_tgt_cm = confusion_matrix(
+                scores.predicted, data.target_labels_heldout, model.config.classes
+            )
+            student_tgt = miou(
+                aggregate_tgt_cm if np.array_equal(aggregate_params, params) else student_tgt_cm()
+            )
+            student_src = evaluate_miou(model, params, data.source_images, data.source_labels)
+            aggregate_tgt = miou(aggregate_tgt_cm)
+            rows.append(
+                EpochRow(
+                    epoch=t,
+                    iter=step,
+                    variant=variant,
+                    lr=lr,
+                    student_src_miou=student_src,
+                    student_tgt_miou=student_tgt,
+                    aggregate_tgt_miou=aggregate_tgt,
+                    dist_entropy=used_entropy,
+                    mean_vkl=mean_score,
+                )
+            )
+            kept = (params, agg.state)
+    except DivergenceError as exc:
+        if out_dir:
+            _persist(out_dir, *kept, rows, config_echo)
+        raise DivergenceError(f"{where}: {exc}") from exc
 
     report = MetricsReport(rows=tuple(rows), config_echo=config_echo)
     if out_dir:
-        _persist(out_dir, params, agg.state, cfg.epochs, rows, config_echo)
+        _persist(out_dir, params, agg.state, rows, config_echo)
         if cfg.dump_distributions:
             _write_distributions(os.path.join(out_dir, DISTRIBUTIONS_NAME), dist_trace)
     return RunResult(

@@ -396,13 +396,20 @@ class TwoHeadModel:
         batch: Sequence[tuple[np.ndarray, np.ndarray]],
         lr: float,
         dropout_seed: int | None = None,
+        term: tuple[float, np.ndarray] | None = None,
     ) -> tuple[np.ndarray, float]:
-        """One SGD step on a labeled batch. Returns (new params, loss)."""
+        """One SGD step on a labeled batch plus an optional (loss, gradient)
+        ``term``, e.g. a regularizer's. Returns (new params, total loss)."""
         if lr < 0.0:
             raise ValueError("lr must be >= 0")
         loss, grad = self.loss_and_grad(params, batch, dropout_seed)
+        if term is not None:
+            term_loss, term_grad = term
+            if term_grad.shape != (self.param_count,):
+                raise ValueError(f"term gradient shape {term_grad.shape} != ({self.param_count},)")
+            loss, grad = loss + term_loss, grad + term_grad
         if not np.isfinite(loss):
-            raise DivergenceError(f"non-finite loss {loss!r} in grad_step")
+            raise DivergenceError(f"non-finite loss {loss!r}")
         return params - lr * grad, loss
 
 

@@ -10,6 +10,7 @@ import pytest
 import boostadapt.cli as cli
 from boostadapt.cli import EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_IO, EXIT_OK, cli_main
 from boostadapt.errors import DivergenceError
+from boostadapt.model import TwoHeadModel
 from boostadapt.report import read_report, read_summary
 
 
@@ -105,6 +106,23 @@ class TestRun:
         rc = cli_main(["run", "--config", config_path, "--out", str(tmp_path / "o")])
         assert rc == EXIT_DIVERGENCE
         assert "diverged" in capsys.readouterr().err
+
+    def test_warmup_divergence_exits_3_with_state_persisted(
+        self, tmp_path, config_path, monkeypatch, capsys
+    ):
+        calls = []
+        loss_and_grad = TwoHeadModel.loss_and_grad
+
+        def nan_on_second_call(model, params, batch, dropout_seed=None):
+            calls.append(None)
+            loss, grad = loss_and_grad(model, params, batch, dropout_seed)
+            return (float("nan") if len(calls) == 2 else loss), grad
+
+        monkeypatch.setattr(TwoHeadModel, "loss_and_grad", nan_on_second_call)
+        out = str(tmp_path / "o")
+        assert cli_main(["run", "--config", config_path, "--out", out]) == EXIT_DIVERGENCE
+        assert "warm-up iteration 2" in capsys.readouterr().err
+        assert read_report(os.path.join(out, "report.csv")).rows == ()
 
     def test_run_from_exported_data(self, tmp_path, config_path):
         data_dir = str(tmp_path / "data")

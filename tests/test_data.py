@@ -1,10 +1,13 @@
 """Synthetic domain pair: determinism, shift semantics, label hygiene, export."""
 
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
 
+from boostadapt import data
 from boostadapt.data import (
     GEOMETRIES,
     DomainPair,
@@ -144,6 +147,43 @@ class TestExportImport:
         (tmp_path / "manifest.json").write_text("{not json")
         with pytest.raises(FormatError):
             import_domain_pair(str(tmp_path))
+
+    def test_torn_export_rejected(self, tmp_path, monkeypatch):
+        out = str(tmp_path / "data")
+        export_domain_pair(generate_domain_pair(small_shift_config(seed=1)), out)
+        write_atomic = data.write_atomic
+
+        def fail_manifest(path, blob):
+            if path.endswith(data.MANIFEST_NAME):
+                raise OSError("disk full")
+            write_atomic(path, blob)
+
+        monkeypatch.setattr(data, "write_atomic", fail_manifest)
+        with pytest.raises(OSError):
+            export_domain_pair(generate_domain_pair(small_shift_config(seed=2)), out)
+        with pytest.raises(FormatError, match="sha256"):
+            import_domain_pair(out)
+
+    def test_version_1_manifest_rejected(self, tmp_path):
+        out = tmp_path / "data"
+        export_domain_pair(generate_domain_pair(small_shift_config(seed=3)), str(out))
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["version"] = 1
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match="version 1"):
+            import_domain_pair(str(out))
+
+    def test_non_finite_values_rejected_under_a_matching_digest(self, tmp_path):
+        out = tmp_path / "data"
+        export_domain_pair(generate_domain_pair(small_shift_config(seed=4)), str(out))
+        blob = np.fromfile(out / "target_images.bin", dtype="<f8")
+        blob[0] = np.nan
+        blob.tofile(out / "target_images.bin")
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["arrays"]["target_images"]["sha256"] = hashlib.sha256(blob.tobytes()).hexdigest()
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match="non-finite"):
+            import_domain_pair(str(out))
 
     def test_truncated_array_file(self, tmp_path):
         pair = generate_domain_pair(small_shift_config(seed=10))

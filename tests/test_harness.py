@@ -273,6 +273,48 @@ class TestDivergenceHandling:
         assert (student.seq, aggregate.seq) == (0, 1)
         assert np.array_equal(aggregate.params, student.params)
 
+    def test_ema_divergence_keeps_the_epoch_end_aggregate(self, tmp_path):
+        cfg = small_experiment_config(epochs=3, iters_per_epoch=4, aggregation="ema")
+        out = str(tmp_path / "diverged")
+        with pytest.raises(DivergenceError, match="epoch 2 iteration 2"):
+            run_experiment(cfg, regularizer=self._nan_after(5), out_dir=out)
+        student = load_file(os.path.join(out, "student.abst"))
+        aggregate = load_file(os.path.join(out, "aggregate.abst"))
+        # the EMA folds in every step of epoch 1 and none of epoch 2
+        assert (student.seq, aggregate.seq) == (1, 1 + cfg.iters_per_epoch)
+        assert len(read_report(os.path.join(out, "report.csv")).rows) == 1
+        finished = run_experiment(cfg, regularizer=self._nan_after(10**9))
+        np.testing.assert_array_equal(student.params, finished.snapshots[0].params)
+
+    def test_warmup_divergence_keeps_the_student_before_the_failing_step(
+        self, tmp_path, monkeypatch
+    ):
+        seen = []
+        loss_and_grad = TwoHeadModel.loss_and_grad
+
+        def nan_on_second_call(model, params, batch, dropout_seed=None):
+            seen.append(params)
+            loss, grad = loss_and_grad(model, params, batch, dropout_seed)
+            return (float("nan") if len(seen) == 2 else loss), grad
+
+        monkeypatch.setattr(TwoHeadModel, "loss_and_grad", nan_on_second_call)
+        out = str(tmp_path / "diverged")
+        with pytest.raises(DivergenceError, match="warm-up iteration 2: non-finite loss"):
+            run_experiment(small_experiment_config(), out_dir=out)
+        student = load_file(os.path.join(out, "student.abst"))
+        aggregate = load_file(os.path.join(out, "aggregate.abst"))
+        assert (student.seq, aggregate.seq) == (0, 1)
+        np.testing.assert_array_equal(student.params, seen[1])
+        np.testing.assert_array_equal(aggregate.params, student.params)
+        assert read_report(os.path.join(out, "report.csv")).rows == ()
+
+    def test_wrong_length_regularizer_gradient_rejected(self):
+        def short_hook(params, images):
+            return 0.0, np.zeros(params.size - 1)
+
+        with pytest.raises(ValueError, match="term gradient shape"):
+            run_experiment(small_experiment_config(), regularizer=short_hook)
+
 
 class TestArtifacts:
     def test_output_files_written(self, tmp_path):
@@ -290,6 +332,14 @@ class TestArtifacts:
         dist_lines = Path(out, "distributions.csv").read_text().splitlines()
         assert dist_lines[0] == "epoch,index,weight"
         assert len(dist_lines) == 1 + cfg.epochs * cfg.shift.target_count
+
+    def test_distribution_weights_round_trip_bit_exact(self, tmp_path):
+        cfg = small_experiment_config(epochs=2, dump_distributions=True)
+        out = str(tmp_path / "run")
+        res = run_experiment(cfg, out_dir=out)
+        cells = [line.split(",") for line in Path(out, "distributions.csv").read_text().split()]
+        written = np.array([float(w) for _, _, w in cells[1:]])
+        assert written.tobytes() == np.concatenate(res.distributions).tobytes()
 
     def test_config_echo_in_report(self, tmp_path):
         cfg = small_experiment_config(epochs=2, seed=3)

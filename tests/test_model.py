@@ -468,6 +468,18 @@ class TestGradStep:
                     break
             assert after < before
 
+    def test_term_joins_the_loss_and_the_step(self):
+        cfg = small_model_config()
+        model = TwoHeadModel(cfg)
+        rng = np.random.default_rng(16)
+        params = model.init_params(6)
+        batch = [(random_image(rng, cfg), random_labels(rng, cfg))]
+        term = (0.25, rng.normal(size=model.param_count))
+        loss, grad = model.loss_and_grad(params, batch, dropout_seed=2)
+        new, total = model.grad_step(params, batch, lr=0.1, dropout_seed=2, term=term)
+        assert total == loss + 0.25
+        assert new.tobytes() == (params - 0.1 * (grad + term[1])).tobytes()
+
     def test_negative_lr_rejected(self):
         model = TwoHeadModel(small_model_config())
         with pytest.raises(ValueError):

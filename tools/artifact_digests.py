@@ -8,8 +8,11 @@ give the same output, so a byte-identity check is one ``diff``:
 
     PYTHONPATH=src python3 tools/artifact_digests.py --seed 1 > digests.txt
 
-A run that diverges still writes its last good state; its files are hashed
-like any other and the divergence is noted on stderr.
+Each preset also runs three forced divergences, so the state a diverging
+run persists is hashed too: a regularizer hook returning a NaN loss at
+epoch 1 iteration 3 (``diverge-e1i3``) and at epoch 2 iteration 3
+(``diverge-e2i3``), and ``lr0=1e308``, whose loss overflows at warm-up
+iteration 2 (``diverge-warmup``). Every divergence is noted on stderr.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ import os
 import sys
 import tempfile
 from dataclasses import replace
+
+import numpy as np
 
 from boostadapt.config import REGULARIZERS, VARIANT_PRESETS, ExperimentConfig, apply_variant
 from boostadapt.errors import DivergenceError
@@ -38,6 +43,26 @@ def digests(root: str) -> list[str]:
     return [f"{digest}  {rel}" for rel, digest in sorted(lines)]
 
 
+def nan_at(call: int):
+    """Regularizer hook with a zero term, except a NaN loss on call ``call``."""
+    calls = [0]
+
+    def hook(params, images):
+        calls[0] += 1
+        return (float("nan") if calls[0] == call else 0.0), np.zeros(params.size)
+
+    return hook
+
+
+def run(cfg: ExperimentConfig, root: str, variant: str, name: str, **kwargs) -> None:
+    """Run ``cfg`` into ``root/variant/name``, noting a divergence on stderr."""
+    out_dir = os.path.join(root, variant, name)
+    try:
+        run_experiment(cfg, variant_label=variant, out_dir=out_dir, **kwargs)
+    except DivergenceError as exc:
+        print(f"{variant}/{name} diverged: {exc}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, required=True, help="master seed of every run")
@@ -45,13 +70,14 @@ def main(argv: list[str] | None = None) -> int:
     base = replace(ExperimentConfig(seed=args.seed), dump_distributions=True)
     with tempfile.TemporaryDirectory() as tmp:
         for variant in sorted(VARIANT_PRESETS):
+            cfg = apply_variant(base, variant)
             for regularizer in REGULARIZERS:
-                cfg = replace(apply_variant(base, variant), regularizer=regularizer)
-                out_dir = os.path.join(tmp, variant, regularizer)
-                try:
-                    run_experiment(cfg, variant_label=variant, out_dir=out_dir)
-                except DivergenceError as exc:
-                    print(f"{variant}/{regularizer} diverged: {exc}", file=sys.stderr)
+                run(replace(cfg, regularizer=regularizer), tmp, variant, regularizer)
+            for epoch in (1, 2):
+                call = (epoch - 1) * cfg.iters_per_epoch + 3
+                run(cfg, tmp, variant, f"diverge-e{epoch}i3", regularizer=nan_at(call))
+            with np.errstate(over="ignore"):
+                run(replace(cfg, lr0=1e308), tmp, variant, "diverge-warmup")
         print("\n".join(digests(tmp)))
     return 0
 
