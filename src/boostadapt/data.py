@@ -83,13 +83,28 @@ class TrainView:
     target_images: np.ndarray
 
 
+_ARRAY_FIELDS = (
+    "source_images",
+    "source_labels",
+    "target_images",
+    "target_labels_heldout",
+)
+
+
 @dataclass(frozen=True)
 class DomainPair:
+    """Both domains; the arrays are read-only, so runs can share one pair
+    and a write into it raises instead of leaking into the next run."""
+
     source_images: np.ndarray  # (M, H, W, F)
     source_labels: np.ndarray  # (M, H, W) int64
     target_images: np.ndarray  # (N, H, W, F)
     target_labels_heldout: np.ndarray  # (N, H, W) int64, evaluation only
     config: ShiftConfig
+
+    def __post_init__(self) -> None:
+        for name in _ARRAY_FIELDS:
+            getattr(self, name).flags.writeable = False
 
     def trainer_view(self) -> TrainView:
         return TrainView(
@@ -155,14 +170,6 @@ def generate_domain_pair(cfg: ShiftConfig) -> DomainPair:
         target_labels_heldout=target_labels,
         config=cfg,
     )
-
-
-_ARRAY_FIELDS = (
-    "source_images",
-    "source_labels",
-    "target_images",
-    "target_labels_heldout",
-)
 
 
 def export_domain_pair(pair: DomainPair, out_dir: str) -> None:

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import aggregator, paramio, sampler
 from .config import ABLATION_VARIANTS, ExperimentConfig, apply_variant, experiment_config_to_dict
-from .data import DomainPair, TrainView, generate_domain_pair
+from .data import DomainPair, ShiftConfig, TrainView, generate_domain_pair
 from .errors import DivergenceError
 from .metrics import confusion_matrix, miou, pixel_accuracy
 from .model import TwoHeadModel, fuse_predictions, poly_lr
@@ -110,6 +110,12 @@ def _write_distributions(path: str, dists: Sequence[np.ndarray]) -> None:
     paramio.write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
+def data_shift(cfg: ExperimentConfig) -> ShiftConfig:
+    """The shift config of the domain pair a run of ``cfg`` trains on:
+    ``cfg.shift`` seeded from the master seed's ``data`` substream."""
+    return replace(cfg.shift, seed=substream_seed(cfg.seed, "data"))
+
+
 def run_experiment(
     cfg: ExperimentConfig,
     *,
@@ -128,8 +134,7 @@ def run_experiment(
     model = TwoHeadModel(cfg.model_config())
 
     if data is None:
-        data_seed = substream_seed(cfg.seed, "data")
-        data = generate_domain_pair(replace(cfg.shift, seed=data_seed))
+        data = generate_domain_pair(data_shift(cfg))
     view = data.trainer_view()
     n_source = len(view.source_images)
     n_target = len(view.target_images)
@@ -266,17 +271,24 @@ def run_ablation_suite(
     out_dir: str | None = None,
 ) -> list[SummaryRow]:
     """Run every (variant, seed) cell; a diverged cell is recorded as NaN and
-    the suite continues, any other error propagates. Within one seed all
-    variants share the same dataset."""
+    the suite continues, any other error propagates. Each distinct domain
+    pair, one per seed, is generated once and shared read-only by every
+    cell that trains on it."""
     if len(seeds) == 0:
         raise ValueError("need at least one seed")
     rows: list[SummaryRow] = []
+    pairs: dict[ShiftConfig, DomainPair] = {}
     for variant in variants:
         for seed in seeds:
             cfg = replace(apply_variant(base_cfg, variant), seed=seed, out_dir=None)
+            shift = data_shift(cfg)
+            if shift not in pairs:
+                pairs[shift] = generate_domain_pair(shift)
             run_dir = os.path.join(out_dir, "runs", f"{variant}-seed{seed}") if out_dir else None
             try:
-                result = run_experiment(cfg, variant_label=variant, out_dir=run_dir)
+                result = run_experiment(
+                    cfg, variant_label=variant, data=pairs[shift], out_dir=run_dir
+                )
                 summary = result.report.summary(cfg.eval_last_k)
                 rows.append(
                     SummaryRow(

@@ -74,24 +74,19 @@ def _im2col(grid: np.ndarray, radius: int) -> np.ndarray:
     return view.reshape(*lead, h * w, k * k * d)
 
 
-def _col2im(cols: np.ndarray, h: int, w: int, d: int, radius: int) -> np.ndarray:
-    """Scatter-add adjoint of ``_im2col``: (..., H*W, k*k*D) -> (..., H, W, D);
-    leading axes are carried through."""
-    lead = cols.shape[:-2]
-    if radius == 0:
-        return cols.reshape(*lead, h, w, d)
+def _col2im(blocks: np.ndarray, h: int, w: int, d: int, radius: int) -> np.ndarray:
+    """Scatter-add adjoint of ``_im2col``, taking the columns k x k-first:
+    (k, k, ..., H*W, D) -> (..., H, W, D); leading axes are carried through.
+    Each add reads one contiguous (dy, dx) block, and every cell gets its
+    adds in (dy, dx) order."""
     k = 2 * radius + 1
-    # one transposed copy puts the k x k axes in front, so each add below
-    # reads one contiguous block; it moves each run of D floats as one opaque
-    # item, which numpy transposes faster than single floats. Every cell
-    # still gets its adds in (dy, dx) order.
-    run = np.dtype((np.void, d * cols.itemsize))
-    items = np.ascontiguousarray(cols).reshape(-1, k * k * d).view(run)
-    blocks = np.ascontiguousarray(items.T).view(cols.dtype).reshape(k, k, *lead, h, w, d)
+    lead = blocks.shape[2:-2]
+    if radius == 0:
+        return blocks[0, 0].reshape(*lead, h, w, d)
     padded = np.zeros((*lead, h + 2 * radius, w + 2 * radius, d))
     for dy in range(k):
         for dx in range(k):
-            padded[..., dy : dy + h, dx : dx + w, :] += blocks[dy, dx]
+            padded[..., dy : dy + h, dx : dx + w, :] += blocks[dy, dx].reshape(*lead, h, w, d)
     return padded[..., radius : radius + h, radius : radius + w, :]
 
 
@@ -259,10 +254,13 @@ class TwoHeadModel:
         d_pre2 = d_act2 * (1.0 - cache.act2**2)
         g_w2 = np.swapaxes(cache.patches2, -1, -2) @ d_pre2
         g_b2 = d_pre2.sum(axis=-2)
-        d_patches2 = d_pre2 @ w2.T
-
+        # the column gradient d_pre2 @ w2.T, computed straight into the
+        # k x k-first (k, k, m, H*W, D1) blocks ``_col2im`` reads: the same
+        # D2-term dot products, one gemm per (offset, image)
+        k = self.k2
+        w2_blocks = np.swapaxes(w2.reshape(k, k, 1, c.hidden1, c.hidden2), -1, -2)
         d_act1 = _col2im(
-            d_patches2, c.height, c.width, c.hidden1, c.r_primary
+            d_pre2 @ w2_blocks, c.height, c.width, c.hidden1, c.r_primary
         ).reshape(m, -1, c.hidden1)
         if dlogits_a is None:
             g_wa = np.zeros((m, *wa.shape))
@@ -371,18 +369,18 @@ class TwoHeadModel:
         n_pix = self.config.height * self.config.width
         n = len(batch)
         flats = np.stack([self._check_labels(labels).reshape(-1) for _, labels in batch])
+        hot = flats[..., None] == np.arange(self.config.classes)  # (n, H*W, C) one-hot
 
         def head_terms(span: slice, cache: _ForwardCache) -> tuple[np.ndarray, ...]:
-            picks = flats[span][..., None]  # (m, H*W, 1)
+            onehot = hot[span]
+            m = len(onehot)
             ce_p, ce_a = (
-                -(np.take_along_axis(shifted, picks, -1)[..., 0] - np.log(norm)).mean(axis=-1)
+                -(shifted[onehot].reshape(m, -1) - np.log(norm)).mean(axis=-1)
                 for shifted, norm in (
                     (cache.shifted_p, cache.norm_p),
                     (cache.shifted_a, cache.norm_a),
                 )
             )
-            onehot = np.zeros_like(cache.probs_p)
-            np.put_along_axis(onehot, picks, 1.0, -1)
             dlogits_p = (cache.probs_p - onehot) / (n_pix * n)
             dlogits_a = lam * (cache.probs_a - onehot) / (n_pix * n)
             return (ce_p + lam * ce_a) / n, dlogits_p, dlogits_a

@@ -72,11 +72,10 @@ def self_training_regularizer(model: TwoHeadModel, weight: float) -> Regularizer
 
         def head_terms(span: slice, cache) -> tuple[np.ndarray, np.ndarray, None]:
             fused = cache.probs_p + cache.probs_a
-            labels = np.argmax(fused, axis=-1)[..., None]  # (m, H*W, 1)
-            picked = np.take_along_axis(cache.probs_p, labels, -1)[..., 0]
+            labels = np.argmax(fused, axis=-1)  # (m, H*W)
+            onehot = labels[..., None] == np.arange(fused.shape[-1])
+            picked = cache.probs_p[onehot].reshape(len(labels), -1)
             term = -weight * np.mean(np.log(np.maximum(picked, 1e-12)), axis=-1) / n
-            onehot = np.zeros_like(cache.probs_p)
-            np.put_along_axis(onehot, labels, 1.0, -1)
             dlogits_p = weight * (cache.probs_p - onehot) / (n_pix * n)
             return term, dlogits_p, None
 

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -214,3 +216,18 @@ class TestAblate:
     def test_help_exits_zero(self, capsys):
         assert cli_main(["--help"]) == 0
         assert "boostadapt" in capsys.readouterr().out
+
+
+class TestModuleInvocation:
+    def test_module_invocation_runs_the_cli(self):
+        # `python -m boostadapt.cli` must reach main(), not import and exit 0
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "boostadapt.cli", "--help"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: boostadapt")

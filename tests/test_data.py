@@ -127,6 +127,24 @@ class TestTrainView:
         np.testing.assert_array_equal(view.target_images, pair.target_images)
 
 
+class TestReadOnly:
+    @staticmethod
+    def assert_read_only(pair):
+        for field in ("source_images", "source_labels", "target_images", "target_labels_heldout"):
+            arr = getattr(pair, field)
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.flat[0] = 1
+
+    def test_generated_pair_is_read_only(self):
+        self.assert_read_only(generate_domain_pair(small_shift_config()))
+
+    def test_imported_pair_is_read_only(self, tmp_path):
+        out = str(tmp_path / "data")
+        export_domain_pair(generate_domain_pair(small_shift_config(seed=3)), out)
+        self.assert_read_only(import_domain_pair(out))
+
+
 class TestExportImport:
     def test_round_trip_bit_exact(self, tmp_path):
         pair = generate_domain_pair(small_shift_config(seed=9))

@@ -1,6 +1,7 @@
 """Training-loop invariants: alternation order, aggregation wiring, determinism."""
 
 import dataclasses
+import hashlib
 import os
 from pathlib import Path
 
@@ -447,6 +448,48 @@ class TestAblationSuite:
         cfg = small_experiment_config(epochs=2, iters_per_epoch=2, eval_last_k=1)
         with pytest.raises(ValueError, match="injected bug"):
             harness_mod.run_ablation_suite(cfg, seeds=[1, 2])
+
+    def test_one_domain_pair_per_seed(self, monkeypatch):
+        import boostadapt.harness as harness_mod
+
+        shifts = []
+
+        def counting(shift):
+            shifts.append(shift)
+            return generate_domain_pair(shift)
+
+        monkeypatch.setattr(harness_mod, "generate_domain_pair", counting)
+        cfg = small_experiment_config(epochs=2, iters_per_epoch=2, eval_last_k=1)
+        harness_mod.run_ablation_suite(cfg, seeds=[1, 2])
+        assert [s.seed for s in shifts] == [substream_seed(1, "data"), substream_seed(2, "data")]
+
+    def test_shared_pair_writes_the_bytes_of_separate_runs(self, tmp_path, monkeypatch):
+        import boostadapt.harness as harness_mod
+
+        cfg = small_experiment_config(epochs=2, iters_per_epoch=2, eval_last_k=1)
+        shared = tmp_path / "shared"
+        harness_mod.run_ablation_suite(cfg, seeds=[1, 2], out_dir=str(shared))
+        real = harness_mod.run_experiment
+
+        def own_pair(cfg, *, data, **kwargs):
+            # each cell generates its own pair, as a lone run does
+            return real(cfg, **kwargs)
+
+        monkeypatch.setattr(harness_mod, "run_experiment", own_pair)
+        separate = tmp_path / "separate"
+        harness_mod.run_ablation_suite(cfg, seeds=[1, 2], out_dir=str(separate))
+
+        def digests(root):
+            return {
+                str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in root.rglob("*")
+                if p.is_file()
+            }
+
+        got = digests(shared)
+        assert "summary.csv" in got
+        assert len([name for name in got if name.startswith("runs")]) == 30
+        assert got == digests(separate)
 
     def test_empty_seed_list_rejected(self):
         with pytest.raises(ValueError):

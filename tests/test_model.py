@@ -52,6 +52,13 @@ def loop_col2im(cols, h, w, d, radius):
     return padded[..., radius : radius + h, radius : radius + w, :]
 
 
+def kk_first(cols, radius):
+    """(..., H*W, k*k*D) columns -> the (k, k, ..., H*W, D) blocks ``_col2im`` takes."""
+    k = 2 * radius + 1
+    blocks = cols.reshape(*cols.shape[:-1], k, k, cols.shape[-1] // (k * k))
+    return np.moveaxis(blocks, (-3, -2), (0, 1))
+
+
 def same_bits(got, want):
     """Equal shapes and values, signs of zeros included."""
     return (
@@ -104,7 +111,7 @@ class TestPatches:
                 x = rng.normal(0, 1, (*lead, h, w, d))
                 y = rng.normal(0, 1, (*lead, h * w, k * k * d))
                 lhs = float((_im2col(x, radius) * y).sum())
-                rhs = float((x * _col2im(y, h, w, d, radius)).sum())
+                rhs = float((x * _col2im(kk_first(y, radius), h, w, d, radius)).sum())
                 np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
     @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
@@ -121,7 +128,9 @@ class TestPatches:
             y[y < -0.5] = -0.0
             y[..., ::5] *= 1e-17  # small addends make the add order show
             assert same_bits(_im2col(x, radius), loop_im2col(x, radius))
-            assert same_bits(_col2im(y, h, w, d, radius), loop_col2im(y, h, w, d, radius))
+            assert same_bits(
+                _col2im(kk_first(y, radius), h, w, d, radius), loop_col2im(y, h, w, d, radius)
+            )
 
     def test_zero_padding_at_border(self):
         x = np.ones((2, 2, 1))

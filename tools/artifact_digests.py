@@ -13,6 +13,10 @@ run persists is hashed too: a regularizer hook returning a NaN loss at
 epoch 1 iteration 3 (``diverge-e1i3``) and at epoch 2 iteration 3
 (``diverge-e2i3``), and ``lr0=1e308``, whose loss overflows at warm-up
 iteration 2 (``diverge-warmup``). Every divergence is noted on stderr.
+
+Last, ``run_ablation_suite`` runs all 9 presets on seeds N and N+1 into
+``ablation/``, so the suite's shared domain pairs are hashed too: its
+``summary.csv`` and every ``runs/<variant>-seed<seed>/`` file.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import numpy as np
 
 from boostadapt.config import REGULARIZERS, VARIANT_PRESETS, ExperimentConfig, apply_variant
 from boostadapt.errors import DivergenceError
-from boostadapt.harness import run_experiment
+from boostadapt.harness import run_ablation_suite, run_experiment
 
 
 def digests(root: str) -> list[str]:
@@ -78,6 +82,12 @@ def main(argv: list[str] | None = None) -> int:
                 run(cfg, tmp, variant, f"diverge-e{epoch}i3", regularizer=nan_at(call))
             with np.errstate(over="ignore"):
                 run(replace(cfg, lr0=1e308), tmp, variant, "diverge-warmup")
+        run_ablation_suite(
+            base,
+            [args.seed, args.seed + 1],
+            variants=sorted(VARIANT_PRESETS),
+            out_dir=os.path.join(tmp, "ablation"),
+        )
         print("\n".join(digests(tmp)))
     return 0
 
