@@ -140,6 +140,15 @@ class Aggregator:
         self.snapshots: list[Snapshot] = []
         self._errors: list[float] = []
 
+    @property
+    def holds_latest_snapshot(self) -> bool:
+        """Whether the aggregate holds exactly the latest snapshot's values:
+        always under ``none``, and after epoch 1 under the policies whose
+        state starts as ``init`` of that snapshot alone."""
+        return self.policy == "none" or (
+            len(self.snapshots) == 1 and self.policy in ("running-mean", "momentum")
+        )
+
     def after_step(self, params: np.ndarray) -> None:
         if self.policy == "ema":
             self.state = update_ema(self.state, params, self.ema_decay)

@@ -15,13 +15,17 @@ The two "hold fixed" phases are the alternation contract: scores never come
 from a mid-epoch model and draws inside an epoch never see a mid-epoch
 distribution. Scoring uses the aggregate (the student when aggregation is
 off). All randomness flows through named substreams of the master seed.
+
+The cells of one ablation-suite seed share their work through ``SharedWork``,
+a memo of training steps and eval passes keyed by lineage, how their inputs
+were made: a step or pass that several cells reach the same way is computed
+once, and every cell reads the same array.
 """
 
 from __future__ import annotations
 
-import functools
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,6 +49,20 @@ STUDENT_NAME = "student.abst"
 AGGREGATE_NAME = "aggregate.abst"
 DISTRIBUTIONS_NAME = "distributions.csv"
 SUMMARY_NAME = "summary.csv"
+
+# The fields that reach a training step or an eval pass only through its memo
+# key (the lineage of the sampling distribution, the aggregate or the score
+# criterion) or not at all.
+_PER_CELL_FIELDS = (
+    "sampler",
+    "aggregation",
+    "momentum",
+    "ema_decay",
+    "softmax_temperature",
+    "eval_last_k",
+    "dump_distributions",
+    "out_dir",
+)
 
 
 @dataclass(frozen=True)
@@ -83,6 +101,114 @@ def evaluate_miou(
     return miou(dataset_confusion(model, params, images, labels))
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+class SharedWork:
+    """Training steps and eval passes memoized by lineage, for the runs of one
+    ``work_scope`` on that scope's domain pair. Every student, aggregate and
+    sampling distribution a run makes gets an id for how it was made: the
+    chain of steps from the scope's init, the aggregation policy, the scores a
+    distribution was updated with. Runs reach the same id exactly when they
+    make the same thing the same way, and a hit returns the read-only array
+    that the first of them computed, so sharing changes no output bit. What is
+    shared follows from the configs alone, never from two runs' values
+    happening to agree, so a suite's cost does not change with its seed.
+    ``scope`` None keeps the eval passes only, for a lone run, whose steps
+    can never repeat; with ``keep_steps`` off, steps are still looked up but
+    no new one is stored."""
+
+    def __init__(self, scope: tuple | None) -> None:
+        self.scope = scope
+        self.keep_steps = True
+        # (student id, distribution id or None in warm-up, lr, dropout seed,
+        # source indices, flips, target indices or None) -> (id, params)
+        self.steps: dict[tuple, tuple[int, np.ndarray]] | None = None if scope is None else {}
+        # (aggregate id, criterion) -> score values on the target images
+        self.scores: dict[tuple[int, str], np.ndarray] = {}
+        # (student or aggregate id, "source" | "target") -> confusion matrix
+        self.confusions: dict[tuple[int, str], np.ndarray] = {}
+        self._ids: dict[tuple, int] = {}
+
+    def lineage(self, *how: object) -> int:
+        """The id of what is made ``how``: equal exactly for equal ``how``."""
+        return self._ids.setdefault(how, len(self._ids))
+
+    def step(
+        self,
+        student: int,
+        dist: int | None,
+        lr: float,
+        dropout_seed: int,
+        source: np.ndarray,
+        flips: tuple[bool, ...],
+        target: np.ndarray | None,
+        compute: Callable[[], np.ndarray],
+    ) -> tuple[int, np.ndarray]:
+        """The id and params of the step ``compute()`` makes from the params
+        of id ``student`` with these draws. A compute that raises stores
+        nothing."""
+        if self.steps is None:
+            params = compute()
+            return self.lineage("step", student), params
+        key = (
+            student,
+            dist,
+            lr,
+            dropout_seed,
+            source.tobytes(),
+            flips,
+            None if target is None else target.tobytes(),
+        )
+        if key in self.steps:
+            return self.steps[key]
+        params = _frozen(compute())
+        made = (self.lineage("step", *key), params)
+        if self.keep_steps:
+            self.steps[key] = made
+        return made
+
+    def score(
+        self,
+        model: TwoHeadModel,
+        aggregate: int,
+        params: np.ndarray,
+        data: DomainPair,
+        criterion: str,
+        score_fn: ScoreFn,
+    ) -> np.ndarray:
+        """The score values on the target images of ``params``, of id
+        ``aggregate``. A scoring pass also files their target confusion,
+        from its fused predictions."""
+        if (aggregate, criterion) not in self.scores:
+            scored = score_fn(model, params, data.target_images, criterion)
+            self.scores[aggregate, criterion] = _frozen(scored.values)
+            if (aggregate, "target") not in self.confusions:
+                self.confusions[aggregate, "target"] = _frozen(
+                    confusion_matrix(
+                        scored.predicted, data.target_labels_heldout, model.config.classes
+                    )
+                )
+        return self.scores[aggregate, criterion]
+
+    def confusion(
+        self, model: TwoHeadModel, made: int, params: np.ndarray, data: DomainPair, split: str
+    ) -> np.ndarray:
+        """The confusion matrix on ``split`` of ``params``, of id ``made``:
+        "source", or "target" against the held-out labels."""
+        key = (made, split)
+        if key not in self.confusions:
+            images, labels = (
+                (data.source_images, data.source_labels)
+                if split == "source"
+                else (data.target_images, data.target_labels_heldout)
+            )
+            self.confusions[key] = _frozen(dataset_confusion(model, params, images, labels))
+        return self.confusions[key]
+
+
 def _persist(
     out_dir: str,
     student: np.ndarray,
@@ -116,11 +242,22 @@ def data_shift(cfg: ExperimentConfig) -> ShiftConfig:
     return replace(cfg.shift, seed=substream_seed(cfg.seed, "data"))
 
 
+def work_scope(cfg: ExperimentConfig) -> tuple:
+    """The scope within which runs may share a ``SharedWork``: the (name,
+    value) of every ``cfg`` field except those that reach a step or an eval
+    pass only through its memo key, so a field added later keeps runs that
+    differ in it apart."""
+    return tuple(
+        (f.name, getattr(cfg, f.name)) for f in fields(cfg) if f.name not in _PER_CELL_FIELDS
+    )
+
+
 def run_experiment(
     cfg: ExperimentConfig,
     *,
     variant_label: str | None = None,
     data: DomainPair | None = None,
+    shared: SharedWork | None = None,
     scorer: ScoreFn | None = None,
     regularizer: RegularizerHook | None = None,
     out_dir: str | None = None,
@@ -128,16 +265,23 @@ def run_experiment(
     """Run one experiment. Writes report + snapshots when an out dir is given
     (argument wins over ``cfg.out_dir``). On divergence it first persists
     the student entering the failing warm-up step (seq 0, aggregate = it,
-    seq 1) or the student, aggregate and rows of the last completed epoch."""
+    seq 1) or the student, aggregate and rows of the last completed epoch.
+
+    ``shared`` is a ``SharedWork`` of ``work_scope(cfg)``, filled and read
+    by every run given it with the same ``data``. A run given its own
+    ``scorer`` or ``regularizer`` neither reads nor fills it."""
     out_dir = out_dir or cfg.out_dir
     variant = variant_label or f"{cfg.sampler}+{cfg.aggregation}"
     model = TwoHeadModel(cfg.model_config())
+    if shared is not None and shared.scope != work_scope(cfg):
+        raise ValueError("shared work of another scope")
+    shareable = shared is not None and scorer is None and regularizer is None
+    work = shared if shareable else SharedWork(None)
 
     if data is None:
         data = generate_domain_pair(data_shift(cfg))
     view = data.trainer_view()
     n_source = len(view.source_images)
-    n_target = len(view.target_images)
 
     params = model.init_params(substream_seed(cfg.seed, "init"))
     dropout_rng = substream(cfg.seed, "dropout")
@@ -158,32 +302,55 @@ def run_experiment(
     config_echo = experiment_config_to_dict(cfg)
     config_echo["variant"] = variant
 
-    def source_batch() -> list[tuple[np.ndarray, np.ndarray]]:
-        idx = sampling_rng.integers(0, n_source, cfg.batch_size)
-        batch = []
-        for i in idx:
-            image = view.source_images[i]
-            labels = view.source_labels[i]
-            if cfg.horizontal_flip and sampling_rng.random() < 0.5:
-                image = image[:, ::-1]
-                labels = labels[:, ::-1]
-            batch.append((image, labels))
-        return batch
+    def sgd_step(
+        student: int,
+        params: np.ndarray,
+        lr: float,
+        dist: sampler.SampleDistribution | None,
+        dist_id: int | None,
+    ) -> tuple[int, np.ndarray]:
+        """The id and params of one step from ``params`` (id ``student``) on
+        a uniformly drawn source batch, plus the regularizer term of a
+        ``dist``-drawn target batch (none in warm-up, ``dist`` None). The
+        draws are made even when the step is shared, so both RNG streams
+        advance as if it were computed here."""
+        source = sampling_rng.integers(0, n_source, cfg.batch_size)
+        flips = tuple(cfg.horizontal_flip and sampling_rng.random() < 0.5 for _ in source)
+        target = None if dist is None else sampler.draw(dist, sampling_rng, cfg.batch_size)
+        seed = int(dropout_rng.integers(0, 2**62))
+
+        def compute() -> np.ndarray:
+            batch = [
+                (view.source_images[i][:, ::-1], view.source_labels[i][:, ::-1])
+                if flip
+                else (view.source_images[i], view.source_labels[i])
+                for i, flip in zip(source, flips)
+            ]
+            # overflow surfaces as the typed non-finite check alone, no warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                term = None
+                if target is not None:
+                    term = reg(params, [view.target_images[j] for j in target])
+                return model.grad_step(params, batch, lr, dropout_seed=seed, term=term)[0]
+
+        return work.step(student, dist_id, lr, seed, source, flips, target, compute)
 
     rows: list[EpochRow] = []
     # what a divergence persists: kept after each warm-up step and epoch end
     kept = (params, aggregator.AggregateState(params, 1))
+    student = work.lineage("init")
     try:
         # source-only warm-up; shares the global poly schedule
         for w_step in range(cfg.warmup_epochs * cfg.iters_per_epoch):
             where = f"warm-up iteration {w_step + 1}"
-            lr = poly_lr(step, total_iter, cfg.lr0)
-            seed = int(dropout_rng.integers(0, 2**62))
-            params, _ = model.grad_step(params, source_batch(), lr, dropout_seed=seed)
+            student, params = sgd_step(
+                student, params, poly_lr(step, total_iter, cfg.lr0), None, None
+            )
             kept = (params, aggregator.AggregateState(params, 1))
             step += 1
 
-        dist = sampler.init_uniform(n_target)
+        dist = sampler.init_uniform(len(view.target_images))
+        dist_id = work.lineage("uniform")
         dist_trace: list[np.ndarray] = []
         agg = aggregator.Aggregator(cfg.aggregation, params, cfg.momentum, cfg.ema_decay)
 
@@ -192,52 +359,48 @@ def run_experiment(
             for i in range(cfg.iters_per_epoch):
                 where = f"epoch {t} iteration {i + 1}"
                 lr = poly_lr(step, total_iter, cfg.lr0)
-                batch = source_batch()
-                target_idx = sampler.draw(dist, sampling_rng, cfg.batch_size)
-                target_batch = [view.target_images[j] for j in target_idx]
-                seed = int(dropout_rng.integers(0, 2**62))
-                term = reg(params, target_batch)
-                params, _ = model.grad_step(params, batch, lr, dropout_seed=seed, term=term)
+                student, params = sgd_step(student, params, lr, dist, dist_id)
                 agg.after_step(params)
                 step += 1
 
-            # the student's held-out target confusion, computed at most once
-            student_tgt_cm = functools.cache(
-                lambda: dataset_confusion(
-                    model, params, data.target_images, data.target_labels_heldout
-                )
-            )
             aggregate_params = agg.after_epoch(
                 aggregator.Snapshot(params=params, epoch=t),
-                lambda: 1.0 - pixel_accuracy(student_tgt_cm()),
+                lambda: 1.0
+                - pixel_accuracy(work.confusion(model, student, params, data, "target")),
+            )
+            aggregate = (
+                student
+                if agg.holds_latest_snapshot
+                else work.lineage(
+                    "aggregate", cfg.aggregation, cfg.momentum, cfg.ema_decay, student
+                )
             )
 
             # distribution phase: aggregate held fixed while D is refreshed
-            scores = score_fn(model, aggregate_params, view.target_images, criterion)
+            scores = work.score(model, aggregate, aggregate_params, data, criterion, score_fn)
             used_entropy = float(entropy(dist.weights))
-            mean_score = float(np.mean(scores.values))
+            mean_score = float(np.mean(scores))
             if cfg.sampler != "uniform":
                 dist = sampler.update(dist, normalize_scores(scores, cfg.softmax_temperature))
+                dist_id = work.lineage(
+                    "update", dist_id, aggregate, criterion, cfg.softmax_temperature
+                )
 
-            # each distinct (params, image set) is forwarded once per epoch: the
-            # scoring pass's predictions give the aggregate's target confusion
-            aggregate_tgt_cm = confusion_matrix(
-                scores.predicted, data.target_labels_heldout, model.config.classes
-            )
-            student_tgt = miou(
-                aggregate_tgt_cm if np.array_equal(aggregate_params, params) else student_tgt_cm()
-            )
-            student_src = evaluate_miou(model, params, data.source_images, data.source_labels)
-            aggregate_tgt = miou(aggregate_tgt_cm)
             rows.append(
                 EpochRow(
                     epoch=t,
                     iter=step,
                     variant=variant,
                     lr=lr,
-                    student_src_miou=student_src,
-                    student_tgt_miou=student_tgt,
-                    aggregate_tgt_miou=aggregate_tgt,
+                    student_src_miou=miou(
+                        work.confusion(model, student, params, data, "source")
+                    ),
+                    student_tgt_miou=miou(
+                        work.confusion(model, student, params, data, "target")
+                    ),
+                    aggregate_tgt_miou=miou(
+                        work.confusion(model, aggregate, aggregate_params, data, "target")
+                    ),
                     dist_entropy=used_entropy,
                     mean_vkl=mean_score,
                 )
@@ -271,46 +434,56 @@ def run_ablation_suite(
     out_dir: str | None = None,
 ) -> list[SummaryRow]:
     """Run every (variant, seed) cell; a diverged cell is recorded as NaN and
-    the suite continues, any other error propagates. Each distinct domain
-    pair, one per seed, is generated once and shared read-only by every
-    cell that trains on it."""
+    the suite continues, any other error propagates. Cells run seed by seed:
+    the cells of one seed share its domain pair, generated once and
+    read-only, and one ``SharedWork`` per ``work_scope``, both dropped when
+    the seed is done. Rows come back variant-major."""
     if len(seeds) == 0:
         raise ValueError("need at least one seed")
-    rows: list[SummaryRow] = []
-    pairs: dict[ShiftConfig, DomainPair] = {}
-    for variant in variants:
-        for seed in seeds:
-            cfg = replace(apply_variant(base_cfg, variant), seed=seed, out_dir=None)
+    cells: dict[tuple[int, int], SummaryRow] = {}
+    for k, seed in enumerate(seeds):
+        pairs: dict[ShiftConfig, DomainPair] = {}
+        shared: dict[tuple, SharedWork] = {}
+        cfgs = [
+            replace(apply_variant(base_cfg, name), seed=seed, out_dir=None) for name in variants
+        ]
+        scopes = [work_scope(cfg) for cfg in cfgs]
+        for v, (variant, cfg, scope) in enumerate(zip(variants, cfgs, scopes)):
             shift = data_shift(cfg)
             if shift not in pairs:
                 pairs[shift] = generate_domain_pair(shift)
+            if scope not in shared:
+                shared[scope] = SharedWork(scope)
+            # no later cell reads the steps a scope's last cell would store
+            shared[scope].keep_steps = scope in scopes[v + 1 :]
             run_dir = os.path.join(out_dir, "runs", f"{variant}-seed{seed}") if out_dir else None
             try:
                 result = run_experiment(
-                    cfg, variant_label=variant, data=pairs[shift], out_dir=run_dir
+                    cfg,
+                    variant_label=variant,
+                    data=pairs[shift],
+                    shared=shared[scope],
+                    out_dir=run_dir,
                 )
                 summary = result.report.summary(cfg.eval_last_k)
-                rows.append(
-                    SummaryRow(
-                        variant=variant,
-                        seed=seed,
-                        final_student_miou=result.report.rows[-1].student_tgt_miou,
-                        final_aggregate_miou=result.report.rows[-1].aggregate_tgt_miou,
-                        lastk_student_std=summary.lastk_student_std,
-                        lastk_aggregate_std=summary.lastk_aggregate_std,
-                    )
+                cells[v, k] = SummaryRow(
+                    variant=variant,
+                    seed=seed,
+                    final_student_miou=result.report.rows[-1].student_tgt_miou,
+                    final_aggregate_miou=result.report.rows[-1].aggregate_tgt_miou,
+                    lastk_student_std=summary.lastk_student_std,
+                    lastk_aggregate_std=summary.lastk_aggregate_std,
                 )
             except DivergenceError:
-                rows.append(
-                    SummaryRow(
-                        variant=variant,
-                        seed=seed,
-                        final_student_miou=float("nan"),
-                        final_aggregate_miou=float("nan"),
-                        lastk_student_std=float("nan"),
-                        lastk_aggregate_std=float("nan"),
-                    )
+                cells[v, k] = SummaryRow(
+                    variant=variant,
+                    seed=seed,
+                    final_student_miou=float("nan"),
+                    final_aggregate_miou=float("nan"),
+                    lastk_student_std=float("nan"),
+                    lastk_aggregate_std=float("nan"),
                 )
+    rows = [cells[v, k] for v in range(len(variants)) for k in range(len(seeds))]
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         write_summary(os.path.join(out_dir, SUMMARY_NAME), rows)

@@ -232,6 +232,22 @@ class TestAggregator:
         assert agg.state.mean_params is not start
         assert agg.snapshots == []
 
+    @pytest.mark.parametrize("policy", AGGREGATIONS)
+    def test_holds_latest_snapshot_only_when_it_is_the_snapshot_bit_for_bit(self, policy):
+        rng = np.random.default_rng(12)
+        agg = Aggregator(policy, rng.normal(0, 1, 6), momentum=0.7, ema_decay=0.9)
+        held = []
+        for t, error in enumerate(self.ERRORS, start=1):
+            snap = Snapshot(params=rng.normal(0, 1, 6), epoch=t)
+            agg.after_step(snap.params)
+            params = agg.after_epoch(snap, lambda error=error: error)
+            held.append(agg.holds_latest_snapshot)
+            if held[-1]:
+                assert params.tobytes() == snap.params.tobytes()
+        expected = {"none": [True] * 3, "running-mean": [True, False, False]}
+        expected["momentum"] = expected["running-mean"]
+        assert held == expected.get(policy, [False] * 3)
+
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
             Aggregator("median", np.zeros(3), momentum=0.5, ema_decay=0.5)

@@ -3,20 +3,31 @@
 import dataclasses
 import hashlib
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from boostadapt.aggregator import adaboost_alpha, weighted_combine
-from boostadapt.config import AGGREGATIONS, VARIANT_PRESETS, apply_variant
+from boostadapt import sampler as sampler_mod
+from boostadapt.config import (
+    ABLATION_VARIANTS,
+    AGGREGATIONS,
+    VARIANT_PRESETS,
+    ExperimentConfig,
+    apply_variant,
+)
 from boostadapt.data import generate_domain_pair
 from boostadapt.errors import DivergenceError
 from boostadapt.harness import (
+    SharedWork,
+    data_shift,
     dataset_confusion,
     evaluate_miou,
     run_ablation_suite,
     run_experiment,
+    work_scope,
 )
 from boostadapt.metrics import confusion_matrix, pixel_accuracy
 from boostadapt.model import ModelConfig, TwoHeadModel, fuse_predictions
@@ -43,6 +54,31 @@ class RecordingScorer:
         sv = score_dataset(model, params, images, criterion)
         self.scores.append(sv.values.copy())
         return sv
+
+
+def suite_digests(tmp_path, monkeypatch, cfg, variants):
+    """sha256 of every file a seeds-1-2 suite writes, by path: as run, and
+    with every cell given neither the suite's pair nor its shared work."""
+    import boostadapt.harness as harness_mod
+
+    def digests(root):
+        return {
+            str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in root.rglob("*")
+            if p.is_file()
+        }
+
+    harness_mod.run_ablation_suite(cfg, [1, 2], variants, out_dir=str(tmp_path / "shared"))
+    real = harness_mod.run_experiment
+
+    def on_its_own(cfg, *, data, shared, **kwargs):
+        # each cell generates its own pair and keeps its work, as a lone run does
+        return real(cfg, **kwargs)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(harness_mod, "run_experiment", on_its_own)
+        harness_mod.run_ablation_suite(cfg, [1, 2], variants, out_dir=str(tmp_path / "separate"))
+    return digests(tmp_path / "shared"), digests(tmp_path / "separate")
 
 
 class TestLoopStructure:
@@ -416,11 +452,9 @@ class TestAblationSuite:
         import boostadapt.harness as harness_mod
 
         real = harness_mod.run_experiment
-        calls = {"n": 0}
 
         def flaky(cfg, **kwargs):
-            calls["n"] += 1
-            if calls["n"] == 2:
+            if (kwargs["variant_label"], cfg.seed) == ("baseline", 2):
                 raise DivergenceError("injected")
             return real(cfg, **kwargs)
 
@@ -464,33 +498,301 @@ class TestAblationSuite:
         assert [s.seed for s in shifts] == [substream_seed(1, "data"), substream_seed(2, "data")]
 
     def test_shared_pair_writes_the_bytes_of_separate_runs(self, tmp_path, monkeypatch):
-        import boostadapt.harness as harness_mod
-
         cfg = small_experiment_config(epochs=2, iters_per_epoch=2, eval_last_k=1)
-        shared = tmp_path / "shared"
-        harness_mod.run_ablation_suite(cfg, seeds=[1, 2], out_dir=str(shared))
-        real = harness_mod.run_experiment
-
-        def own_pair(cfg, *, data, **kwargs):
-            # each cell generates its own pair, as a lone run does
-            return real(cfg, **kwargs)
-
-        monkeypatch.setattr(harness_mod, "run_experiment", own_pair)
-        separate = tmp_path / "separate"
-        harness_mod.run_ablation_suite(cfg, seeds=[1, 2], out_dir=str(separate))
-
-        def digests(root):
-            return {
-                str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
-                for p in root.rglob("*")
-                if p.is_file()
-            }
-
-        got = digests(shared)
+        got, separate = suite_digests(tmp_path, monkeypatch, cfg, ABLATION_VARIANTS)
         assert "summary.csv" in got
         assert len([name for name in got if name.startswith("runs")]) == 30
-        assert got == digests(separate)
+        assert got == separate
+
+    def test_flipping_suite_writes_the_bytes_of_separate_runs(self, tmp_path, monkeypatch):
+        cfg = small_experiment_config(epochs=2, iters_per_epoch=2, eval_last_k=1)
+        cfg = dataclasses.replace(cfg, horizontal_flip=True)
+        got, separate = suite_digests(tmp_path, monkeypatch, cfg, sorted(VARIANT_PRESETS))
+        assert len([name for name in got if name.startswith("runs")]) == 3 * 9 * 2
+        assert got == separate
+
+    def test_each_seed_warms_up_once(self, monkeypatch):
+        warmup_steps = []
+        grad_step = TwoHeadModel.grad_step
+
+        def counting(model, params, batch, lr, dropout_seed=None, term=None):
+            warmup_steps.append(term is None)
+            return grad_step(model, params, batch, lr, dropout_seed=dropout_seed, term=term)
+
+        monkeypatch.setattr(TwoHeadModel, "grad_step", counting)
+        cfg = small_experiment_config(epochs=2, iters_per_epoch=3, eval_last_k=1)
+        run_ablation_suite(cfg, seeds=[1, 2], variants=sorted(VARIANT_PRESETS))
+        assert sum(warmup_steps) == 2 * cfg.warmup_epochs * cfg.iters_per_epoch
+        cell_steps = (cfg.warmup_epochs + cfg.epochs) * cfg.iters_per_epoch
+        assert len(warmup_steps) < 2 * 9 * cell_steps
 
     def test_empty_seed_list_rejected(self):
         with pytest.raises(ValueError):
             run_ablation_suite(small_experiment_config(), seeds=[])
+
+
+class TestSharedWork:
+    # the fields a cell may change and still share a step or an eval pass
+    PER_CELL = {
+        "sampler",
+        "aggregation",
+        "momentum",
+        "ema_decay",
+        "softmax_temperature",
+        "eval_last_k",
+        "dump_distributions",
+        "out_dir",
+    }
+
+    def test_scope_changes_with_every_other_field(self):
+        base = small_experiment_config(r_primary=2)
+        changed = {
+            "epochs": 4,
+            "iters_per_epoch": 7,
+            "batch_size": 3,
+            "lr0": 0.1,
+            "aux_loss_weight": 0.25,
+            "dropout_rate": 0.1,
+            "warmup_epochs": 2,
+            "lr_horizon_scale": 2.0,
+            "sampler": "entropy",
+            "aggregation": "ema",
+            "momentum": 0.5,
+            "ema_decay": 0.9,
+            "softmax_temperature": 0.5,
+            "eval_last_k": 1,
+            "horizontal_flip": True,
+            "dump_distributions": True,
+            "regularizer": "none",
+            "regularizer_weight": 0.25,
+            "hidden1": 5,
+            "hidden2": 5,
+            "r_aux": 1,
+            "r_primary": 3,
+            "shift": dataclasses.replace(base.shift, seed=1),
+            "seed": 1,
+            "out_dir": "elsewhere",
+        }
+        # a field added later must be listed here, so it is judged too
+        assert set(changed) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+        for name, value in changed.items():
+            cfg = dataclasses.replace(base, **{name: value})
+            assert cfg != base, name
+            assert (work_scope(cfg) == work_scope(base)) == (name in self.PER_CELL), name
+
+    def test_cells_share_read_only_results(self):
+        cfg = small_experiment_config(epochs=2, sampler="uniform", aggregation="none")
+        pair = generate_domain_pair(data_shift(cfg))
+        work = SharedWork(work_scope(cfg))
+        first = run_experiment(cfg, data=pair, shared=work)
+        steps = (cfg.warmup_epochs + cfg.epochs) * cfg.iters_per_epoch
+        assert len(work.steps) == steps
+        stepped = [params for _, params in work.steps.values()]
+        values = [*stepped, *work.scores.values(), *work.confusions.values()]
+        assert not any(value.flags.writeable for value in values)
+        with pytest.raises(ValueError, match="read-only"):
+            first.student[0] = 0.0
+        # under uniform sampling the aggregation never reaches the student
+        second = run_experiment(
+            dataclasses.replace(cfg, aggregation="running-mean"), data=pair, shared=work
+        )
+        assert len(work.steps) == steps
+        assert second.student is first.student
+        assert second.report.rows != first.report.rows  # its aggregate is its own
+
+    def test_every_step_input_is_in_the_key(self):
+        work = SharedWork(work_scope(small_experiment_config()))
+        computed = []
+
+        def compute():
+            computed.append(np.ones(3))
+            return computed[-1]
+
+        base = dict(
+            student=0,
+            dist=1,
+            lr=0.1,
+            dropout_seed=7,
+            source=np.array([0, 1]),
+            flips=(False, False),
+            target=np.array([2, 3]),
+        )
+        changes = [
+            {},
+            {"student": 2},
+            {"dist": None},
+            {"lr": 0.2},
+            {"dropout_seed": 8},
+            {"source": np.array([1, 0])},
+            {"flips": (True, False)},
+            {"target": np.array([3, 2])},
+            {"target": None},
+        ]
+        for change in changes:
+            work.step(**{**base, **change}, compute=compute)
+        assert len(computed) == len(changes)
+        made, params = work.step(**base, compute=compute)
+        assert params is computed[0]
+        assert len(computed) == len(changes)
+        # every distinct step makes a distinct id
+        ids = {work.step(**{**base, **c}, compute=compute)[0] for c in changes}
+        assert len(ids) == len(changes)
+
+    def test_failed_step_stores_nothing(self):
+        work = SharedWork(work_scope(small_experiment_config()))
+
+        def diverge():
+            raise DivergenceError("injected")
+
+        with pytest.raises(DivergenceError):
+            work.step(0, None, 0.1, 7, np.array([0, 1]), (False, False), None, diverge)
+        assert work.steps == {}
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ({}, {"sampler": "entropy"}),
+            ({}, {"aggregation": "ema"}),
+            ({"aggregation": "momentum"}, {"aggregation": "momentum", "momentum": 0.5}),
+            ({"aggregation": "ema"}, {"aggregation": "ema", "ema_decay": 0.9}),
+            ({}, {"softmax_temperature": 0.5}),
+        ],
+    )
+    def test_every_per_cell_field_reaches_the_lineage(self, first, second):
+        cfg = small_experiment_config(epochs=3)
+        pair = generate_domain_pair(data_shift(cfg))
+        work = SharedWork(work_scope(cfg))
+        run_experiment(dataclasses.replace(cfg, **first), data=pair, shared=work)
+        shared = run_experiment(dataclasses.replace(cfg, **second), data=pair, shared=work)
+        alone = run_experiment(dataclasses.replace(cfg, **second), data=pair)
+        assert shared.report.rows == alone.report.rows
+        assert np.array_equal(shared.student, alone.student)
+        assert np.array_equal(shared.aggregate, alone.aggregate)
+
+    def test_sharing_follows_the_configs_not_the_values(self, monkeypatch):
+        # Under near-uniform sampling a sampler cell often draws what a
+        # uniform cell draws and computes its very student; a memo keyed by
+        # value would share that on some seeds and not on others.
+        computed = []
+        grad_step = TwoHeadModel.grad_step
+
+        def counting(model, params, batch, lr, dropout_seed=None, term=None):
+            computed[-1] += 1
+            return grad_step(model, params, batch, lr, dropout_seed=dropout_seed, term=term)
+
+        monkeypatch.setattr(TwoHeadModel, "grad_step", counting)
+        cfg = small_experiment_config(epochs=3, iters_per_epoch=3, eval_last_k=1)
+        for seed in range(1, 7):
+            computed.append(0)
+            run_ablation_suite(cfg, seeds=[seed], variants=sorted(VARIANT_PRESETS))
+        # warm-up and epoch 1 once; from epoch 2 one student for the uniform
+        # cells, one for the four whose epoch-1 aggregate is the student,
+        # and one each for ema, full-entropy and oracle-alpha; from epoch 3
+        # one for the uniform cells and one for each other cell
+        n = cfg.iters_per_epoch
+        assert computed == [cfg.warmup_epochs * n + n + 5 * n + 8 * n] * 6
+
+        # cells apart in their temperature only share the warm-up and epoch 1
+        computed.clear()
+        for seed in range(1, 7):
+            computed.append(0)
+            cell = dataclasses.replace(cfg, seed=seed)
+            pair = generate_domain_pair(data_shift(cell))
+            work = SharedWork(work_scope(cell))
+            for temperature in (1.0, 0.5):
+                cell = dataclasses.replace(cell, softmax_temperature=temperature)
+                run_experiment(cell, data=pair, shared=work)
+        assert computed == [cfg.warmup_epochs * n + n + 2 * 2 * n] * 6
+
+    def test_a_scopes_last_cell_stores_no_steps(self, monkeypatch):
+        works = []
+
+        class Recording(SharedWork):
+            def __init__(self, scope):
+                super().__init__(scope)
+                works.append(self)
+
+        import boostadapt.harness as harness_mod
+
+        monkeypatch.setattr(harness_mod, "SharedWork", Recording)
+        cfg = small_experiment_config(epochs=2)
+        run_ablation_suite(cfg, seeds=[1], variants=["baseline", "sampler-only"])
+        # the baseline's steps, none of the sampler cell's own epoch-2 steps
+        assert len(works) == 1
+        assert len(works[0].steps) == (cfg.warmup_epochs + cfg.epochs) * cfg.iters_per_epoch
+        work = SharedWork(work_scope(cfg))
+        work.keep_steps = False
+        args = (0, None, 0.1, 7, np.array([0, 1]), (False, False), None)
+        made = work.step(*args, lambda: np.ones(3))
+        assert work.steps == {} and not made[1].flags.writeable
+
+    def test_scope_mismatch_rejected(self):
+        cfg = small_experiment_config(epochs=2)
+        work = SharedWork(work_scope(cfg))
+        with pytest.raises(ValueError, match="another scope"):
+            run_experiment(dataclasses.replace(cfg, seed=1), shared=work)
+
+    def test_own_scorer_or_regularizer_keeps_its_work(self):
+        cfg = small_experiment_config(epochs=2)
+        work = SharedWork(work_scope(cfg))
+        spy = RecordingScorer()
+        run_experiment(cfg, shared=work, scorer=spy)
+        run_experiment(cfg, shared=work, regularizer=lambda p, images: (0.0, np.zeros(p.size)))
+        assert (work.steps, work.scores, work.confusions) == ({}, {}, {})
+        assert len(spy.params) == cfg.epochs
+
+
+class TestHorizontalFlip:
+    def test_flips_mirror_image_and_labels_and_draw_from_the_sampling_stream(
+        self, monkeypatch
+    ):
+        batches, draws = [], []
+        grad_step, draw = TwoHeadModel.grad_step, sampler_mod.draw
+
+        def spy_step(model, params, batch, lr, dropout_seed=None, term=None):
+            batches.append(batch)
+            return grad_step(model, params, batch, lr, dropout_seed=dropout_seed, term=term)
+
+        def spy_draw(dist, rng, count):
+            draws.append(draw(dist, rng, count))
+            return draws[-1]
+
+        monkeypatch.setattr(TwoHeadModel, "grad_step", spy_step)
+        monkeypatch.setattr(sampler_mod, "draw", spy_draw)
+        cfg = small_experiment_config(epochs=2)
+        pair = generate_domain_pair(data_shift(cfg))
+
+        def mirrored(batch):
+            """Per (image, labels): True if mirrored, False if as stored."""
+            out = []
+            for image, labels in batch:
+                for src, lab in zip(pair.source_images, pair.source_labels):
+                    if np.array_equal(image, src) and np.array_equal(labels, lab):
+                        out.append(False)
+                        break
+                    if np.array_equal(image, src[:, ::-1]) and np.array_equal(labels, lab[:, ::-1]):
+                        out.append(True)
+                        break
+                else:
+                    raise AssertionError("batch item is no source image, mirrored or not")
+            return out
+
+        off = run_experiment(cfg, data=pair)
+        off_batches, off_draws = batches[:], draws[:]
+        batches.clear()
+        draws.clear()
+        on = run_experiment(dataclasses.replace(cfg, horizontal_flip=True), data=pair)
+        assert not any(m for batch in off_batches for m in mirrored(batch))
+        assert any(m for batch in batches for m in mirrored(batch))
+        assert np.any(on.student != off.student)
+        # the flip coins come from the sampling stream, so the target draws move
+        assert any(not np.array_equal(a, b) for a, b in zip(draws, off_draws))
+
+
+class TestOverflow:
+    def test_overflow_raises_the_typed_error_without_a_warning(self):
+        # lr0=1e308 overflows the forward of warm-up iteration 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match="warm-up iteration 2: non-finite loss"):
+                run_experiment(small_experiment_config(lr0=1e308))

@@ -14,9 +14,11 @@ epoch 1 iteration 3 (``diverge-e1i3``) and at epoch 2 iteration 3
 (``diverge-e2i3``), and ``lr0=1e308``, whose loss overflows at warm-up
 iteration 2 (``diverge-warmup``). Every divergence is noted on stderr.
 
-Last, ``run_ablation_suite`` runs all 9 presets on seeds N and N+1 into
-``ablation/``, so the suite's shared domain pairs are hashed too: its
-``summary.csv`` and every ``runs/<variant>-seed<seed>/`` file.
+Last, ``run_ablation_suite`` runs all 9 presets on seeds N and N+1 under
+each regularizer into ``ablation/<regularizer>/``, so what the suite's cells
+share (a domain pair and the steps and eval passes they reach alike) is
+hashed under every hook: its ``summary.csv`` and every
+``runs/<variant>-seed<seed>/`` file.
 """
 
 from __future__ import annotations
@@ -80,14 +82,14 @@ def main(argv: list[str] | None = None) -> int:
             for epoch in (1, 2):
                 call = (epoch - 1) * cfg.iters_per_epoch + 3
                 run(cfg, tmp, variant, f"diverge-e{epoch}i3", regularizer=nan_at(call))
-            with np.errstate(over="ignore"):
-                run(replace(cfg, lr0=1e308), tmp, variant, "diverge-warmup")
-        run_ablation_suite(
-            base,
-            [args.seed, args.seed + 1],
-            variants=sorted(VARIANT_PRESETS),
-            out_dir=os.path.join(tmp, "ablation"),
-        )
+            run(replace(cfg, lr0=1e308), tmp, variant, "diverge-warmup")
+        for regularizer in REGULARIZERS:
+            run_ablation_suite(
+                replace(base, regularizer=regularizer),
+                [args.seed, args.seed + 1],
+                variants=sorted(VARIANT_PRESETS),
+                out_dir=os.path.join(tmp, "ablation", regularizer),
+            )
         print("\n".join(digests(tmp)))
     return 0
 
