@@ -49,10 +49,11 @@ class AggregateState:
 
 
 def init(first: Snapshot) -> AggregateState:
-    """Aggregate of a single snapshot; must be the epoch-1 snapshot."""
+    """Aggregate of a single snapshot, holding its very array; must be the
+    epoch-1 snapshot."""
     if first.epoch != 1:
         raise ValueError(f"aggregation starts at epoch 1, got epoch {first.epoch}")
-    return AggregateState(mean_params=first.params.copy(), count=1)
+    return AggregateState(mean_params=first.params, count=1)
 
 
 def _check_next(state: AggregateState, snap: Snapshot) -> None:
@@ -140,21 +141,13 @@ class Aggregator:
         self.snapshots: list[Snapshot] = []
         self._errors: list[float] = []
 
-    @property
-    def holds_latest_snapshot(self) -> bool:
-        """Whether the aggregate holds exactly the latest snapshot's values:
-        always under ``none``, and after epoch 1 under the policies whose
-        state starts as ``init`` of that snapshot alone."""
-        return self.policy == "none" or (
-            len(self.snapshots) == 1 and self.policy in ("running-mean", "momentum")
-        )
-
     def after_step(self, params: np.ndarray) -> None:
         if self.policy == "ema":
             self.state = update_ema(self.state, params, self.ema_decay)
 
     def after_epoch(self, snap: Snapshot, heldout_error: Callable[[], float]) -> np.ndarray:
-        """Fold in the epoch's snapshot; return the aggregate parameters.
+        """Fold in the epoch's snapshot; return the aggregate parameters,
+        the snapshot's own array when the aggregate is that snapshot.
         ``heldout_error()`` is the student's labeled target error, asked for
         under ``oracle-alpha`` only."""
         self.snapshots.append(snap)

@@ -4,7 +4,7 @@ Subcommands:
     run       one experiment -> report.csv, student.abst, aggregate.abst
     ablate    the variant grid over a list of seeds -> summary.csv
     inspect   print header and summary statistics of a snapshot file
-    gen-data  render the synthetic domain pair of a config to disk
+    gen-data  render the synthetic domain pair a config's run trains on to disk
 
 Exit codes: 0 success, 2 configuration error, 3 training divergence,
 4 I/O or file-format error.
@@ -14,20 +14,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import paramio
-from .config import (
-    VARIANT_PRESETS,
-    apply_variant,
-    experiment_config_to_dict,
-    load_experiment_config,
-)
+from .config import VARIANT_PRESETS, apply_variant, load_experiment_config
 from .data import export_domain_pair, generate_domain_pair, import_domain_pair
 from .errors import ConfigError, DivergenceError, FormatError
-from .harness import run_ablation_suite, run_experiment
+from .harness import data_shift, run_ablation_suite, run_experiment
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -81,11 +78,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.variant is not None:
         cfg = apply_variant(cfg, args.variant)
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("seed must be non-negative")
-        import dataclasses
-
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+        cfg = replace(cfg, seed=args.seed)
     out_dir = args.out or cfg.out_dir
     if out_dir is None:
         raise ConfigError("no output directory: pass --out or set out_dir in the config")
@@ -132,19 +125,21 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     print(f"min: {float(p.min())!r}")
     print(f"max: {float(p.max())!r}")
     print(f"mean: {float(p.mean())!r}")
-    print(f"l2: {float(np.linalg.norm(p))!r}")
+    # hypot scales as it goes, so a finite norm never overflows to inf
+    print(f"l2: {math.hypot(*p)!r}")
     return EXIT_OK
 
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:
     cfg = load_experiment_config(args.config)
-    pair = generate_domain_pair(cfg.shift)
+    # the pair `run` trains on: its seed comes from the master seed
+    pair = generate_domain_pair(data_shift(cfg))
     export_domain_pair(pair, args.out)
     print(
         f"wrote {len(pair.source_images)} source / {len(pair.target_images)} target "
         f"images to {args.out}"
     )
-    print(json.dumps(experiment_config_to_dict(cfg)["shift"], sort_keys=True))
+    print(json.dumps(asdict(pair.config), sort_keys=True))
     return EXIT_OK
 
 

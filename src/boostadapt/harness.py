@@ -32,7 +32,7 @@ import numpy as np
 
 from . import aggregator, paramio, sampler
 from .config import ABLATION_VARIANTS, ExperimentConfig, apply_variant, experiment_config_to_dict
-from .data import DomainPair, ShiftConfig, TrainView, generate_domain_pair
+from .data import DomainPair, ShiftConfig, generate_domain_pair
 from .errors import DivergenceError
 from .metrics import confusion_matrix, miou, pixel_accuracy
 from .model import TwoHeadModel, fuse_predictions, poly_lr
@@ -116,97 +116,57 @@ class SharedWork:
     that the first of them computed, so sharing changes no output bit. What is
     shared follows from the configs alone, never from two runs' values
     happening to agree, so a suite's cost does not change with its seed.
-    ``scope`` None keeps the eval passes only, for a lone run, whose steps
-    can never repeat; with ``keep_steps`` off, steps are still looked up but
-    no new one is stored."""
+    With ``keep_steps`` off, steps are still looked up but no new one is
+    stored: a lone run, and a suite's last cell, can never repeat one."""
 
-    def __init__(self, scope: tuple | None) -> None:
+    def __init__(self, scope: tuple, keep_steps: bool = True) -> None:
         self.scope = scope
-        self.keep_steps = True
-        # (student id, distribution id or None in warm-up, lr, dropout seed,
-        # source indices, flips, target indices or None) -> (id, params)
-        self.steps: dict[tuple, tuple[int, np.ndarray]] | None = None if scope is None else {}
-        # (aggregate id, criterion) -> score values on the target images
-        self.scores: dict[tuple[int, str], np.ndarray] = {}
-        # (student or aggregate id, "source" | "target") -> confusion matrix
-        self.confusions: dict[tuple[int, str], np.ndarray] = {}
+        self.keep_steps = keep_steps
         self._ids: dict[tuple, int] = {}
+        self.values: dict[int, np.ndarray] = {}
 
     def lineage(self, *how: object) -> int:
         """The id of what is made ``how``: equal exactly for equal ``how``."""
         return self._ids.setdefault(how, len(self._ids))
 
-    def step(
-        self,
-        student: int,
-        dist: int | None,
-        lr: float,
-        dropout_seed: int,
-        source: np.ndarray,
-        flips: tuple[bool, ...],
-        target: np.ndarray | None,
-        compute: Callable[[], np.ndarray],
+    def get(
+        self, how: tuple, compute: Callable[[], np.ndarray], keep: bool = True
     ) -> tuple[int, np.ndarray]:
-        """The id and params of the step ``compute()`` makes from the params
-        of id ``student`` with these draws. A compute that raises stores
+        """The id of what is made ``how`` and its read-only array, computed
+        on a miss and stored when ``keep``. A compute that raises stores
         nothing."""
-        if self.steps is None:
-            params = compute()
-            return self.lineage("step", student), params
-        key = (
-            student,
-            dist,
-            lr,
-            dropout_seed,
-            source.tobytes(),
-            flips,
-            None if target is None else target.tobytes(),
-        )
-        if key in self.steps:
-            return self.steps[key]
-        params = _frozen(compute())
-        made = (self.lineage("step", *key), params)
-        if self.keep_steps:
-            self.steps[key] = made
-        return made
+        made = self.lineage(*how)
+        if made in self.values:
+            return made, self.values[made]
+        value = _frozen(compute())
+        if keep:
+            self.values[made] = value
+        return made, value
 
-    def score(
-        self,
-        model: TwoHeadModel,
-        aggregate: int,
-        params: np.ndarray,
-        data: DomainPair,
-        criterion: str,
-        score_fn: ScoreFn,
-    ) -> np.ndarray:
-        """The score values on the target images of ``params``, of id
-        ``aggregate``. A scoring pass also files their target confusion,
-        from its fused predictions."""
-        if (aggregate, criterion) not in self.scores:
-            scored = score_fn(model, params, data.target_images, criterion)
-            self.scores[aggregate, criterion] = _frozen(scored.values)
-            if (aggregate, "target") not in self.confusions:
-                self.confusions[aggregate, "target"] = _frozen(
-                    confusion_matrix(
-                        scored.predicted, data.target_labels_heldout, model.config.classes
-                    )
-                )
-        return self.scores[aggregate, criterion]
 
-    def confusion(
-        self, model: TwoHeadModel, made: int, params: np.ndarray, data: DomainPair, split: str
-    ) -> np.ndarray:
-        """The confusion matrix on ``split`` of ``params``, of id ``made``:
-        "source", or "target" against the held-out labels."""
-        key = (made, split)
-        if key not in self.confusions:
-            images, labels = (
-                (data.source_images, data.source_labels)
-                if split == "source"
-                else (data.target_images, data.target_labels_heldout)
-            )
-            self.confusions[key] = _frozen(dataset_confusion(model, params, images, labels))
-        return self.confusions[key]
+def step_how(
+    student: int,
+    dist: int | None,
+    lr: float,
+    dropout_seed: int,
+    source: np.ndarray,
+    flips: tuple[bool, ...],
+    target: np.ndarray | None,
+) -> tuple:
+    """The ``SharedWork`` key of one step from the params of id ``student``:
+    the distribution's id (None in warm-up), the learning rate and the
+    draws. Lineage, not values: equal draws from different distributions
+    stay apart."""
+    return (
+        "step",
+        student,
+        dist,
+        lr,
+        dropout_seed,
+        source.tobytes(),
+        flips,
+        None if target is None else target.tobytes(),
+    )
 
 
 def _persist(
@@ -268,15 +228,17 @@ def run_experiment(
     seq 1) or the student, aggregate and rows of the last completed epoch.
 
     ``shared`` is a ``SharedWork`` of ``work_scope(cfg)``, filled and read
-    by every run given it with the same ``data``. A run given its own
-    ``scorer`` or ``regularizer`` neither reads nor fills it."""
+    by every run given it with the same ``data``. A run given none, or its
+    own ``scorer`` or ``regularizer``, is a one-cell suite: it keeps its
+    eval passes in a ``SharedWork`` of its own and stores no step."""
     out_dir = out_dir or cfg.out_dir
     variant = variant_label or f"{cfg.sampler}+{cfg.aggregation}"
     model = TwoHeadModel(cfg.model_config())
-    if shared is not None and shared.scope != work_scope(cfg):
+    scope = work_scope(cfg)
+    if shared is not None and shared.scope != scope:
         raise ValueError("shared work of another scope")
     shareable = shared is not None and scorer is None and regularizer is None
-    work = shared if shareable else SharedWork(None)
+    work = shared if shareable else SharedWork(scope, keep_steps=False)
 
     if data is None:
         data = generate_domain_pair(data_shift(cfg))
@@ -333,7 +295,36 @@ def run_experiment(
                     term = reg(params, [view.target_images[j] for j in target])
                 return model.grad_step(params, batch, lr, dropout_seed=seed, term=term)[0]
 
-        return work.step(student, dist_id, lr, seed, source, flips, target, compute)
+        how = step_how(student, dist_id, lr, seed, source, flips, target)
+        return work.get(how, compute, keep=work.keep_steps)
+
+    def confusion(made: int, params: np.ndarray, split: str) -> np.ndarray:
+        """The confusion matrix of ``params``, of id ``made``, on ``split``:
+        "source", or "target" against the held-out labels."""
+        images, labels = (
+            (data.source_images, data.source_labels)
+            if split == "source"
+            else (data.target_images, data.target_labels_heldout)
+        )
+        how = ("confusion", made, split)
+        return work.get(how, lambda: dataset_confusion(model, params, images, labels))[1]
+
+    def score(aggregate: int, params: np.ndarray) -> np.ndarray:
+        """The score values on the target images of ``params``, of id
+        ``aggregate``. A scoring pass also files their target confusion,
+        from its fused predictions."""
+
+        def compute() -> np.ndarray:
+            scored = score_fn(model, params, data.target_images, criterion)
+            work.get(
+                ("confusion", aggregate, "target"),
+                lambda: confusion_matrix(
+                    scored.predicted, data.target_labels_heldout, model.config.classes
+                ),
+            )
+            return scored.values
+
+        return work.get(("score", aggregate, criterion), compute)[1]
 
     rows: list[EpochRow] = []
     # what a divergence persists: kept after each warm-up step and epoch end
@@ -365,19 +356,20 @@ def run_experiment(
 
             aggregate_params = agg.after_epoch(
                 aggregator.Snapshot(params=params, epoch=t),
-                lambda: 1.0
-                - pixel_accuracy(work.confusion(model, student, params, data, "target")),
+                lambda: 1.0 - pixel_accuracy(confusion(student, params, "target")),
             )
+            # the aggregate is the student exactly when the policy hands back
+            # the snapshot's own array
             aggregate = (
                 student
-                if agg.holds_latest_snapshot
+                if aggregate_params is params
                 else work.lineage(
                     "aggregate", cfg.aggregation, cfg.momentum, cfg.ema_decay, student
                 )
             )
 
             # distribution phase: aggregate held fixed while D is refreshed
-            scores = work.score(model, aggregate, aggregate_params, data, criterion, score_fn)
+            scores = score(aggregate, aggregate_params)
             used_entropy = float(entropy(dist.weights))
             mean_score = float(np.mean(scores))
             if cfg.sampler != "uniform":
@@ -392,15 +384,9 @@ def run_experiment(
                     iter=step,
                     variant=variant,
                     lr=lr,
-                    student_src_miou=miou(
-                        work.confusion(model, student, params, data, "source")
-                    ),
-                    student_tgt_miou=miou(
-                        work.confusion(model, student, params, data, "target")
-                    ),
-                    aggregate_tgt_miou=miou(
-                        work.confusion(model, aggregate, aggregate_params, data, "target")
-                    ),
+                    student_src_miou=miou(confusion(student, params, "source")),
+                    student_tgt_miou=miou(confusion(student, params, "target")),
+                    aggregate_tgt_miou=miou(confusion(aggregate, aggregate_params, "target")),
                     dist_entropy=used_entropy,
                     mean_vkl=mean_score,
                 )
@@ -435,54 +421,36 @@ def run_ablation_suite(
 ) -> list[SummaryRow]:
     """Run every (variant, seed) cell; a diverged cell is recorded as NaN and
     the suite continues, any other error propagates. Cells run seed by seed:
-    the cells of one seed share its domain pair, generated once and
-    read-only, and one ``SharedWork`` per ``work_scope``, both dropped when
-    the seed is done. Rows come back variant-major."""
+    a variant preset sets per-cell fields only, so the cells of one seed
+    share its domain pair, generated once and read-only, and one
+    ``SharedWork``, both dropped when the seed is done. Rows come back
+    variant-major."""
     if len(seeds) == 0:
         raise ValueError("need at least one seed")
     cells: dict[tuple[int, int], SummaryRow] = {}
     for k, seed in enumerate(seeds):
-        pairs: dict[ShiftConfig, DomainPair] = {}
-        shared: dict[tuple, SharedWork] = {}
-        cfgs = [
-            replace(apply_variant(base_cfg, name), seed=seed, out_dir=None) for name in variants
-        ]
-        scopes = [work_scope(cfg) for cfg in cfgs]
-        for v, (variant, cfg, scope) in enumerate(zip(variants, cfgs, scopes)):
-            shift = data_shift(cfg)
-            if shift not in pairs:
-                pairs[shift] = generate_domain_pair(shift)
-            if scope not in shared:
-                shared[scope] = SharedWork(scope)
-            # no later cell reads the steps a scope's last cell would store
-            shared[scope].keep_steps = scope in scopes[v + 1 :]
+        seed_cfg = replace(base_cfg, seed=seed, out_dir=None)
+        data = generate_domain_pair(data_shift(seed_cfg))
+        work = SharedWork(work_scope(seed_cfg))
+        for v, variant in enumerate(variants):
+            cfg = apply_variant(seed_cfg, variant)
+            # no later cell reads the steps the last cell would store
+            work.keep_steps = v + 1 < len(variants)
             run_dir = os.path.join(out_dir, "runs", f"{variant}-seed{seed}") if out_dir else None
             try:
-                result = run_experiment(
-                    cfg,
-                    variant_label=variant,
-                    data=pairs[shift],
-                    shared=shared[scope],
-                    out_dir=run_dir,
-                )
-                summary = result.report.summary(cfg.eval_last_k)
-                cells[v, k] = SummaryRow(
-                    variant=variant,
-                    seed=seed,
-                    final_student_miou=result.report.rows[-1].student_tgt_miou,
-                    final_aggregate_miou=result.report.rows[-1].aggregate_tgt_miou,
-                    lastk_student_std=summary.lastk_student_std,
-                    lastk_aggregate_std=summary.lastk_aggregate_std,
+                report = run_experiment(
+                    cfg, variant_label=variant, data=data, shared=work, out_dir=run_dir
+                ).report
+                summary = report.summary(cfg.eval_last_k)
+                finals = (
+                    report.rows[-1].student_tgt_miou,
+                    report.rows[-1].aggregate_tgt_miou,
+                    summary.lastk_student_std,
+                    summary.lastk_aggregate_std,
                 )
             except DivergenceError:
-                cells[v, k] = SummaryRow(
-                    variant=variant,
-                    seed=seed,
-                    final_student_miou=float("nan"),
-                    final_aggregate_miou=float("nan"),
-                    lastk_student_std=float("nan"),
-                    lastk_aggregate_std=float("nan"),
-                )
+                finals = (float("nan"),) * 4
+            cells[v, k] = SummaryRow(variant, seed, *finals)
     rows = [cells[v, k] for v in range(len(variants)) for k in range(len(seeds))]
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)

@@ -1,9 +1,11 @@
 """CLI surface: subcommands, exit codes, file artifacts."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ import boostadapt.cli as cli
 from boostadapt.cli import EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_IO, EXIT_OK, cli_main
 from boostadapt.errors import DivergenceError
 from boostadapt.model import TwoHeadModel
+from boostadapt.paramio import load_file
 from boostadapt.report import read_report, read_summary
 
 
@@ -132,6 +135,16 @@ class TestRun:
         out = str(tmp_path / "results")
         rc = cli_main(["run", "--config", config_path, "--data", data_dir, "--out", out])
         assert rc == EXIT_OK
+        # the export is the pair a plain run trains on
+        plain = str(tmp_path / "plain")
+        assert cli_main(["run", "--config", config_path, "--out", plain]) == EXIT_OK
+        for name in ("report.csv", "student.abst", "aggregate.abst"):
+            assert Path(plain, name).read_bytes() == Path(out, name).read_bytes(), name
+
+    def test_negative_seed_is_config_error(self, tmp_path, config_path, capsys):
+        rc = cli_main(["run", "--config", config_path, "--seed", "-1", "--out", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        assert "config error: seed must be non-negative" in capsys.readouterr().err
 
     def test_poisoned_data_exits_4(self, tmp_path, config_path):
         data_dir = tmp_path / "data"
@@ -164,6 +177,23 @@ class TestInspect:
         rc = cli_main(["inspect", "--snapshot", os.path.join(out, "aggregate.abst")])
         assert rc == EXIT_OK
         assert "role: aggregate" in capsys.readouterr().out
+
+    def test_l2_of_a_near_overflow_student_is_finite(self, tmp_path, config_path, capsys):
+        cfg = json.loads(Path(config_path).read_text())
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({**cfg, "lr0": 1e308}))
+        out = str(tmp_path / "results")
+        assert cli_main(["run", "--config", str(path), "--out", out]) == EXIT_DIVERGENCE
+        student = os.path.join(out, "student.abst")
+        params = load_file(student).params
+        assert np.abs(params).max() > 1e307  # the squares overflow a plain dot product
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main(["inspect", "--snapshot", student]) == EXIT_OK
+        text = capsys.readouterr().out
+        l2 = float(text.split("l2: ")[1].splitlines()[0])
+        assert math.isfinite(l2) and l2 == math.hypot(*params)
 
     def test_truncated_file_exits_4(self, tmp_path, config_path, capsys):
         out = str(tmp_path / "results")

@@ -27,6 +27,7 @@ from boostadapt.harness import (
     evaluate_miou,
     run_ablation_suite,
     run_experiment,
+    step_how,
     work_scope,
 )
 from boostadapt.metrics import confusion_matrix, pixel_accuracy
@@ -54,6 +55,20 @@ class RecordingScorer:
         sv = score_dataset(model, params, images, criterion)
         self.scores.append(sv.values.copy())
         return sv
+
+
+def counting_steps(monkeypatch):
+    """Patch ``TwoHeadModel.grad_step`` to count its calls into the returned
+    list's last entry."""
+    computed = [0]
+    grad_step = TwoHeadModel.grad_step
+
+    def counting(model, params, batch, lr, dropout_seed=None, term=None):
+        computed[-1] += 1
+        return grad_step(model, params, batch, lr, dropout_seed=dropout_seed, term=term)
+
+    monkeypatch.setattr(TwoHeadModel, "grad_step", counting)
+    return computed
 
 
 def suite_digests(tmp_path, monkeypatch, cfg, variants):
@@ -580,23 +595,24 @@ class TestSharedWork:
             assert cfg != base, name
             assert (work_scope(cfg) == work_scope(base)) == (name in self.PER_CELL), name
 
-    def test_cells_share_read_only_results(self):
+    def test_cells_share_read_only_results(self, monkeypatch):
+        computed = counting_steps(monkeypatch)
         cfg = small_experiment_config(epochs=2, sampler="uniform", aggregation="none")
         pair = generate_domain_pair(data_shift(cfg))
         work = SharedWork(work_scope(cfg))
         first = run_experiment(cfg, data=pair, shared=work)
         steps = (cfg.warmup_epochs + cfg.epochs) * cfg.iters_per_epoch
-        assert len(work.steps) == steps
-        stepped = [params for _, params in work.steps.values()]
-        values = [*stepped, *work.scores.values(), *work.confusions.values()]
-        assert not any(value.flags.writeable for value in values)
+        assert computed == [steps]
+        # every step, score and confusion of the run, all read-only
+        assert len(work.values) == steps + cfg.epochs * 3
+        assert not any(value.flags.writeable for value in work.values.values())
         with pytest.raises(ValueError, match="read-only"):
             first.student[0] = 0.0
         # under uniform sampling the aggregation never reaches the student
         second = run_experiment(
             dataclasses.replace(cfg, aggregation="running-mean"), data=pair, shared=work
         )
-        assert len(work.steps) == steps
+        assert computed == [steps]
         assert second.student is first.student
         assert second.report.rows != first.report.rows  # its aggregate is its own
 
@@ -629,13 +645,13 @@ class TestSharedWork:
             {"target": None},
         ]
         for change in changes:
-            work.step(**{**base, **change}, compute=compute)
+            work.get(step_how(**{**base, **change}), compute)
         assert len(computed) == len(changes)
-        made, params = work.step(**base, compute=compute)
+        made, params = work.get(step_how(**base), compute)
         assert params is computed[0]
         assert len(computed) == len(changes)
         # every distinct step makes a distinct id
-        ids = {work.step(**{**base, **c}, compute=compute)[0] for c in changes}
+        ids = {work.get(step_how(**{**base, **c}), compute)[0] for c in changes}
         assert len(ids) == len(changes)
 
     def test_failed_step_stores_nothing(self):
@@ -644,9 +660,12 @@ class TestSharedWork:
         def diverge():
             raise DivergenceError("injected")
 
+        how = step_how(0, None, 0.1, 7, np.array([0, 1]), (False, False), None)
         with pytest.raises(DivergenceError):
-            work.step(0, None, 0.1, 7, np.array([0, 1]), (False, False), None, diverge)
-        assert work.steps == {}
+            work.get(how, diverge)
+        assert work.values == {}
+        made, params = work.get(how, lambda: np.ones(3))
+        assert work.values == {made: params}
 
     @pytest.mark.parametrize(
         "first, second",
@@ -673,14 +692,8 @@ class TestSharedWork:
         # Under near-uniform sampling a sampler cell often draws what a
         # uniform cell draws and computes its very student; a memo keyed by
         # value would share that on some seeds and not on others.
-        computed = []
-        grad_step = TwoHeadModel.grad_step
-
-        def counting(model, params, batch, lr, dropout_seed=None, term=None):
-            computed[-1] += 1
-            return grad_step(model, params, batch, lr, dropout_seed=dropout_seed, term=term)
-
-        monkeypatch.setattr(TwoHeadModel, "grad_step", counting)
+        computed = counting_steps(monkeypatch)
+        computed.clear()
         cfg = small_experiment_config(epochs=3, iters_per_epoch=3, eval_last_k=1)
         for seed in range(1, 7):
             computed.append(0)
@@ -708,8 +721,8 @@ class TestSharedWork:
         works = []
 
         class Recording(SharedWork):
-            def __init__(self, scope):
-                super().__init__(scope)
+            def __init__(self, scope, keep_steps=True):
+                super().__init__(scope, keep_steps)
                 works.append(self)
 
         import boostadapt.harness as harness_mod
@@ -717,14 +730,18 @@ class TestSharedWork:
         monkeypatch.setattr(harness_mod, "SharedWork", Recording)
         cfg = small_experiment_config(epochs=2)
         run_ablation_suite(cfg, seeds=[1], variants=["baseline", "sampler-only"])
-        # the baseline's steps, none of the sampler cell's own epoch-2 steps
-        assert len(works) == 1
-        assert len(works[0].steps) == (cfg.warmup_epochs + cfg.epochs) * cfg.iters_per_epoch
-        work = SharedWork(work_scope(cfg))
-        work.keep_steps = False
-        args = (0, None, 0.1, 7, np.array([0, 1]), (False, False), None)
-        made = work.step(*args, lambda: np.ones(3))
-        assert work.steps == {} and not made[1].flags.writeable
+        assert len(works) == 1 and not works[0].keep_steps
+        # the baseline's steps, none of the sampler cell's own epoch-2 steps:
+        # the sampler cell again finds the warm-up and epoch 1 and computes
+        # epoch 2
+        computed = counting_steps(monkeypatch)
+        cell = dataclasses.replace(apply_variant(cfg, "sampler-only"), seed=1)
+        run_experiment(cell, data=generate_domain_pair(data_shift(cell)), shared=works[0])
+        assert computed == [cfg.iters_per_epoch]
+        work = SharedWork(work_scope(cfg), keep_steps=False)
+        how = step_how(0, None, 0.1, 7, np.array([0, 1]), (False, False), None)
+        made = work.get(how, lambda: np.ones(3), keep=work.keep_steps)
+        assert work.values == {} and not made[1].flags.writeable
 
     def test_scope_mismatch_rejected(self):
         cfg = small_experiment_config(epochs=2)
@@ -738,8 +755,15 @@ class TestSharedWork:
         spy = RecordingScorer()
         run_experiment(cfg, shared=work, scorer=spy)
         run_experiment(cfg, shared=work, regularizer=lambda p, images: (0.0, np.zeros(p.size)))
-        assert (work.steps, work.scores, work.confusions) == ({}, {}, {})
+        assert work.values == {}
         assert len(spy.params) == cfg.epochs
+
+    def test_every_preset_keeps_the_scope(self):
+        # the suite gives all the cells of one seed one pair and one SharedWork
+        cfg = small_experiment_config()
+        for name in VARIANT_PRESETS:
+            assert work_scope(apply_variant(cfg, name)) == work_scope(cfg), name
+            assert data_shift(apply_variant(cfg, name)) == data_shift(cfg), name
 
 
 class TestHorizontalFlip:

@@ -14,6 +14,12 @@ epoch 1 iteration 3 (``diverge-e1i3``) and at epoch 2 iteration 3
 (``diverge-e2i3``), and ``lr0=1e308``, whose loss overflows at warm-up
 iteration 2 (``diverge-warmup``). Every divergence is noted on stderr.
 
+The ``full-variance`` preset also goes through the CLI's import path:
+``gen-data`` exports its pair to ``full-variance/export/`` and ``run --data``
+trains on that export into ``full-variance/from-export/``, whose files must
+hash as ``full-variance/self-training/``'s do. The CLI's messages go to
+stderr.
+
 Last, ``run_ablation_suite`` runs all 9 presets on seeds N and N+1 under
 each regularizer into ``ablation/<regularizer>/``, so what the suite's cells
 share (a domain pair and the steps and eval passes they reach alike) is
@@ -24,7 +30,9 @@ hashed under every hook: its ``summary.csv`` and every
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import json
 import os
 import sys
 import tempfile
@@ -32,7 +40,14 @@ from dataclasses import replace
 
 import numpy as np
 
-from boostadapt.config import REGULARIZERS, VARIANT_PRESETS, ExperimentConfig, apply_variant
+from boostadapt.cli import cli_main
+from boostadapt.config import (
+    REGULARIZERS,
+    VARIANT_PRESETS,
+    ExperimentConfig,
+    apply_variant,
+    experiment_config_to_dict,
+)
 from boostadapt.errors import DivergenceError
 from boostadapt.harness import run_ablation_suite, run_experiment
 
@@ -69,6 +84,24 @@ def run(cfg: ExperimentConfig, root: str, variant: str, name: str, **kwargs) -> 
         print(f"{variant}/{name} diverged: {exc}", file=sys.stderr)
 
 
+def from_export(cfg: ExperimentConfig, root: str, variant: str) -> None:
+    """``gen-data`` of ``cfg`` into ``root/variant/export``, then ``run
+    --data`` on that export into ``root/variant/from-export``, through the
+    CLI with its stdout sent to stderr."""
+    with tempfile.TemporaryDirectory() as conf_dir:
+        config = os.path.join(conf_dir, "config.json")
+        with open(config, "w") as fh:
+            json.dump(experiment_config_to_dict(cfg), fh)
+        export, out = (os.path.join(root, variant, name) for name in ("export", "from-export"))
+        with contextlib.redirect_stdout(sys.stderr):
+            for argv in (
+                ["gen-data", "--config", config, "--out", export],
+                ["run", "--config", config, "--variant", variant, "--data", export, "--out", out],
+            ):
+                if cli_main(argv) != 0:
+                    raise RuntimeError(f"boostadapt {' '.join(argv)} failed")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, required=True, help="master seed of every run")
@@ -83,6 +116,7 @@ def main(argv: list[str] | None = None) -> int:
                 call = (epoch - 1) * cfg.iters_per_epoch + 3
                 run(cfg, tmp, variant, f"diverge-e{epoch}i3", regularizer=nan_at(call))
             run(replace(cfg, lr0=1e308), tmp, variant, "diverge-warmup")
+        from_export(apply_variant(base, "full-variance"), tmp, "full-variance")
         for regularizer in REGULARIZERS:
             run_ablation_suite(
                 replace(base, regularizer=regularizer),
