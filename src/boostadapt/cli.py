@@ -24,7 +24,7 @@ from . import paramio
 from .config import VARIANT_PRESETS, apply_variant, load_experiment_config
 from .data import export_domain_pair, generate_domain_pair, import_domain_pair
 from .errors import ConfigError, DivergenceError, FormatError
-from .harness import data_shift, run_ablation_suite, run_experiment
+from .harness import SharedWork, data_shift, run_ablation_suite, run_experiment
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -82,8 +82,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     out_dir = args.out or cfg.out_dir
     if out_dir is None:
         raise ConfigError("no output directory: pass --out or set out_dir in the config")
-    data = import_domain_pair(args.data) if args.data else None
-    result = run_experiment(cfg, variant_label=args.variant, data=data, out_dir=out_dir)
+    work = SharedWork(cfg, import_domain_pair(args.data)) if args.data else None
+    result = run_experiment(cfg, variant_label=args.variant, shared=work, out_dir=out_dir)
     last = result.report.rows[-1]
     print(
         f"run complete: {len(result.report.rows)} epochs, "

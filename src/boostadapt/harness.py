@@ -16,16 +16,16 @@ from a mid-epoch model and draws inside an epoch never see a mid-epoch
 distribution. Scoring uses the aggregate (the student when aggregation is
 off). All randomness flows through named substreams of the master seed.
 
-The cells of one ablation-suite seed share their work through ``SharedWork``,
-a memo of training steps and eval passes keyed by lineage, how their inputs
-were made: a step or pass that several cells reach the same way is computed
-once, and every cell reads the same array.
+The cells of one ablation-suite seed share one ``SharedWork``: the seed's
+domain pair, and a memo of training steps and eval passes keyed by lineage,
+how their inputs were made. A step or pass that several cells reach the same
+way is computed once, and every cell reads the same array.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,16 +33,14 @@ import numpy as np
 from . import aggregator, paramio, sampler
 from .config import ABLATION_VARIANTS, ExperimentConfig, apply_variant, experiment_config_to_dict
 from .data import DomainPair, ShiftConfig, generate_domain_pair
-from .errors import DivergenceError
+from .errors import ConfigError, DivergenceError
 from .metrics import confusion_matrix, miou, pixel_accuracy
 from .model import TwoHeadModel, fuse_predictions, poly_lr
 from .numerics import entropy
-from .regularizers import RegularizerHook, make_regularizer
+from .regularizers import make_regularizer
 from .report import EpochRow, MetricsReport, SummaryRow, write_report, write_summary
 from .rng import substream, substream_seed
-from .uncertainty import ScoreVector, normalize_scores, score_dataset
-
-ScoreFn = Callable[[TwoHeadModel, np.ndarray, Sequence[np.ndarray], str], ScoreVector]
+from .uncertainty import normalize_scores, score_dataset
 
 REPORT_NAME = "report.csv"
 STUDENT_NAME = "student.abst"
@@ -106,9 +104,25 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def data_shift(cfg: ExperimentConfig) -> ShiftConfig:
+    """The shift config of the domain pair a run of ``cfg`` trains on:
+    ``cfg.shift`` seeded from the master seed's ``data`` substream."""
+    return replace(cfg.shift, seed=substream_seed(cfg.seed, "data"))
+
+
+def work_scope(cfg: ExperimentConfig) -> tuple:
+    """The scope within which runs may share a ``SharedWork``: the (name,
+    value) of every ``cfg`` field except those that reach a step or an eval
+    pass only through its memo key, so a field added later keeps runs that
+    differ in it apart."""
+    return tuple(
+        (f.name, getattr(cfg, f.name)) for f in fields(cfg) if f.name not in _PER_CELL_FIELDS
+    )
+
+
 class SharedWork:
-    """Training steps and eval passes memoized by lineage, for the runs of one
-    ``work_scope`` on that scope's domain pair. Every student, aggregate and
+    """The domain pair of one ``work_scope`` and the training steps and eval
+    passes of its runs, memoized by lineage. Every student, aggregate and
     sampling distribution a run makes gets an id for how it was made: the
     chain of steps from the scope's init, the aggregation policy, the scores a
     distribution was updated with. Runs reach the same id exactly when they
@@ -116,12 +130,19 @@ class SharedWork:
     that the first of them computed, so sharing changes no output bit. What is
     shared follows from the configs alone, never from two runs' values
     happening to agree, so a suite's cost does not change with its seed.
-    With ``keep_steps`` off, steps are still looked up but no new one is
-    stored: a lone run, and a suite's last cell, can never repeat one."""
+    With ``keep_steps`` off, as it starts, steps are still looked up but no
+    new one is stored: a lone run, and a suite's last cell, can never repeat
+    one. ``data``, when given, must be the pair ``cfg`` makes."""
 
-    def __init__(self, scope: tuple, keep_steps: bool = True) -> None:
-        self.scope = scope
-        self.keep_steps = keep_steps
+    def __init__(self, cfg: ExperimentConfig, data: DomainPair | None = None) -> None:
+        shift = data_shift(cfg)
+        if data is not None and data.config != shift:
+            got, want = asdict(data.config), asdict(shift)
+            differ = [f"{k} {got[k]!r} (config: {want[k]!r})" for k in want if got[k] != want[k]]
+            raise ConfigError(f"domain pair of another config: {', '.join(differ)}")
+        self.scope = work_scope(cfg)
+        self.data = data if data is not None else generate_domain_pair(shift)
+        self.keep_steps = False
         self._ids: dict[tuple, int] = {}
         self.values: dict[int, np.ndarray] = {}
 
@@ -138,7 +159,9 @@ class SharedWork:
         made = self.lineage(*how)
         if made in self.values:
             return made, self.values[made]
-        value = _frozen(compute())
+        # overflow surfaces as the typed non-finite check alone, no warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = _frozen(compute())
         if keep:
             self.values[made] = value
         return made, value
@@ -196,30 +219,11 @@ def _write_distributions(path: str, dists: Sequence[np.ndarray]) -> None:
     paramio.write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
-def data_shift(cfg: ExperimentConfig) -> ShiftConfig:
-    """The shift config of the domain pair a run of ``cfg`` trains on:
-    ``cfg.shift`` seeded from the master seed's ``data`` substream."""
-    return replace(cfg.shift, seed=substream_seed(cfg.seed, "data"))
-
-
-def work_scope(cfg: ExperimentConfig) -> tuple:
-    """The scope within which runs may share a ``SharedWork``: the (name,
-    value) of every ``cfg`` field except those that reach a step or an eval
-    pass only through its memo key, so a field added later keeps runs that
-    differ in it apart."""
-    return tuple(
-        (f.name, getattr(cfg, f.name)) for f in fields(cfg) if f.name not in _PER_CELL_FIELDS
-    )
-
-
 def run_experiment(
     cfg: ExperimentConfig,
     *,
     variant_label: str | None = None,
-    data: DomainPair | None = None,
     shared: SharedWork | None = None,
-    scorer: ScoreFn | None = None,
-    regularizer: RegularizerHook | None = None,
     out_dir: str | None = None,
 ) -> RunResult:
     """Run one experiment. Writes report + snapshots when an out dir is given
@@ -227,31 +231,23 @@ def run_experiment(
     the student entering the failing warm-up step (seq 0, aggregate = it,
     seq 1) or the student, aggregate and rows of the last completed epoch.
 
-    ``shared`` is a ``SharedWork`` of ``work_scope(cfg)``, filled and read
-    by every run given it with the same ``data``. A run given none, or its
-    own ``scorer`` or ``regularizer``, is a one-cell suite: it keeps its
-    eval passes in a ``SharedWork`` of its own and stores no step."""
+    ``shared`` is a ``SharedWork`` of ``work_scope(cfg)``: the run trains on
+    its domain pair and fills and reads its memo. A run given none is a
+    one-cell suite, with a ``SharedWork(cfg)`` of its own."""
     out_dir = out_dir or cfg.out_dir
     variant = variant_label or f"{cfg.sampler}+{cfg.aggregation}"
     model = TwoHeadModel(cfg.model_config())
-    scope = work_scope(cfg)
-    if shared is not None and shared.scope != scope:
+    work = shared if shared is not None else SharedWork(cfg)
+    if work.scope != work_scope(cfg):
         raise ValueError("shared work of another scope")
-    shareable = shared is not None and scorer is None and regularizer is None
-    work = shared if shareable else SharedWork(scope, keep_steps=False)
-
-    if data is None:
-        data = generate_domain_pair(data_shift(cfg))
+    data = work.data
     view = data.trainer_view()
     n_source = len(view.source_images)
 
     params = model.init_params(substream_seed(cfg.seed, "init"))
     dropout_rng = substream(cfg.seed, "dropout")
     sampling_rng = substream(cfg.seed, "sampling")
-    reg = regularizer if regularizer is not None else make_regularizer(
-        model, cfg.regularizer, cfg.regularizer_weight
-    )
-    score_fn = scorer if scorer is not None else score_dataset
+    reg = make_regularizer(model, cfg.regularizer, cfg.regularizer_weight)
     # the entropy criterion drives sampling only when selected; the report's
     # score column always reflects the criterion used for the update, with
     # kl-variance as the diagnostic default under uniform sampling
@@ -288,12 +284,10 @@ def run_experiment(
                 else (view.source_images[i], view.source_labels[i])
                 for i, flip in zip(source, flips)
             ]
-            # overflow surfaces as the typed non-finite check alone, no warning
-            with np.errstate(over="ignore", invalid="ignore"):
-                term = None
-                if target is not None:
-                    term = reg(params, [view.target_images[j] for j in target])
-                return model.grad_step(params, batch, lr, dropout_seed=seed, term=term)[0]
+            term = None
+            if target is not None:
+                term = reg(params, [view.target_images[j] for j in target])
+            return model.grad_step(params, batch, lr, dropout_seed=seed, term=term)[0]
 
         how = step_how(student, dist_id, lr, seed, source, flips, target)
         return work.get(how, compute, keep=work.keep_steps)
@@ -315,7 +309,7 @@ def run_experiment(
         from its fused predictions."""
 
         def compute() -> np.ndarray:
-            scored = score_fn(model, params, data.target_images, criterion)
+            scored = score_dataset(model, params, data.target_images, criterion)
             work.get(
                 ("confusion", aggregate, "target"),
                 lambda: confusion_matrix(
@@ -422,16 +416,14 @@ def run_ablation_suite(
     """Run every (variant, seed) cell; a diverged cell is recorded as NaN and
     the suite continues, any other error propagates. Cells run seed by seed:
     a variant preset sets per-cell fields only, so the cells of one seed
-    share its domain pair, generated once and read-only, and one
-    ``SharedWork``, both dropped when the seed is done. Rows come back
-    variant-major."""
+    share one ``SharedWork``, its domain pair and memo, dropped when the
+    seed is done. Rows come back variant-major."""
     if len(seeds) == 0:
         raise ValueError("need at least one seed")
     cells: dict[tuple[int, int], SummaryRow] = {}
     for k, seed in enumerate(seeds):
         seed_cfg = replace(base_cfg, seed=seed, out_dir=None)
-        data = generate_domain_pair(data_shift(seed_cfg))
-        work = SharedWork(work_scope(seed_cfg))
+        work = SharedWork(seed_cfg)
         for v, variant in enumerate(variants):
             cfg = apply_variant(seed_cfg, variant)
             # no later cell reads the steps the last cell would store
@@ -439,7 +431,7 @@ def run_ablation_suite(
             run_dir = os.path.join(out_dir, "runs", f"{variant}-seed{seed}") if out_dir else None
             try:
                 report = run_experiment(
-                    cfg, variant_label=variant, data=data, shared=work, out_dir=run_dir
+                    cfg, variant_label=variant, shared=work, out_dir=run_dir
                 ).report
                 summary = report.summary(cfg.eval_last_k)
                 finals = (

@@ -141,6 +141,32 @@ class TestRun:
         for name in ("report.csv", "student.abst", "aggregate.abst"):
             assert Path(plain, name).read_bytes() == Path(out, name).read_bytes(), name
 
+    @pytest.mark.parametrize(
+        "shift_change, run_args, named",
+        [
+            ({"height": 12, "width": 12}, [], "height 12 (config: 8), width 12 (config: 8)"),
+            ({"geometry": "stripes"}, [], "geometry 'stripes' (config: 'blobs')"),
+            ({}, ["--seed", "5"], "seed"),
+        ],
+        ids=["dims", "geometry", "seed"],
+    )
+    def test_data_of_another_config_exits_2(
+        self, tmp_path, config_path, capsys, shift_change, run_args, named
+    ):
+        cfg = json.loads(Path(config_path).read_text())
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps({**cfg, "shift": {**cfg["shift"], **shift_change}}))
+        data_dir = str(tmp_path / "data")
+        assert cli_main(["gen-data", "--config", str(other), "--out", data_dir]) == EXIT_OK
+        capsys.readouterr()
+        out = tmp_path / "results"
+        argv = ["run", "--config", config_path, *run_args, "--data", data_dir, "--out", str(out)]
+        assert cli_main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: domain pair of another config: ")
+        assert named in err
+        assert not out.exists()
+
     def test_negative_seed_is_config_error(self, tmp_path, config_path, capsys):
         rc = cli_main(["run", "--config", config_path, "--seed", "-1", "--out", str(tmp_path)])
         assert rc == EXIT_CONFIG

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import boostadapt.harness as harness_mod
 from boostadapt.aggregator import adaboost_alpha, weighted_combine
 from boostadapt import sampler as sampler_mod
 from boostadapt.config import (
@@ -19,7 +20,7 @@ from boostadapt.config import (
     apply_variant,
 )
 from boostadapt.data import generate_domain_pair
-from boostadapt.errors import DivergenceError
+from boostadapt.errors import ConfigError, DivergenceError
 from boostadapt.harness import (
     SharedWork,
     data_shift,
@@ -42,7 +43,8 @@ from helpers import small_experiment_config
 
 
 class RecordingScorer:
-    """Wraps the real scorer, recording the params and criterion of each call."""
+    """Wraps the real scorer, recording the params and criterion of each call;
+    ``RecordingScorer.every_run(monkeypatch)`` makes it every run's scorer."""
 
     def __init__(self):
         self.params = []
@@ -55,6 +57,31 @@ class RecordingScorer:
         sv = score_dataset(model, params, images, criterion)
         self.scores.append(sv.values.copy())
         return sv
+
+    @classmethod
+    def every_run(cls, monkeypatch):
+        spy = cls()
+        monkeypatch.setattr(harness_mod, "score_dataset", spy)
+        return spy
+
+
+def every_run_regularizes_with(monkeypatch, hook):
+    """Make ``hook`` the regularizer of every run from here on."""
+    monkeypatch.setattr(harness_mod, "make_regularizer", lambda model, kind, weight: hook)
+
+
+def recording_works(monkeypatch):
+    """Patch ``SharedWork`` to record every instance the harness makes into
+    the returned list."""
+    works = []
+
+    class Recording(SharedWork):
+        def __init__(self, cfg, data=None):
+            super().__init__(cfg, data)
+            works.append(self)
+
+    monkeypatch.setattr(harness_mod, "SharedWork", Recording)
+    return works
 
 
 def counting_steps(monkeypatch):
@@ -73,8 +100,7 @@ def counting_steps(monkeypatch):
 
 def suite_digests(tmp_path, monkeypatch, cfg, variants):
     """sha256 of every file a seeds-1-2 suite writes, by path: as run, and
-    with every cell given neither the suite's pair nor its shared work."""
-    import boostadapt.harness as harness_mod
+    with every cell given no shared work, so that it makes its own pair."""
 
     def digests(root):
         return {
@@ -86,7 +112,7 @@ def suite_digests(tmp_path, monkeypatch, cfg, variants):
     harness_mod.run_ablation_suite(cfg, [1, 2], variants, out_dir=str(tmp_path / "shared"))
     real = harness_mod.run_experiment
 
-    def on_its_own(cfg, *, data, shared, **kwargs):
+    def on_its_own(cfg, *, shared, **kwargs):
         # each cell generates its own pair and keeps its work, as a lone run does
         return real(cfg, **kwargs)
 
@@ -136,12 +162,12 @@ class TestLoopStructure:
             res.report.rows[0].dist_entropy, np.log(n), atol=1e-12
         )
 
-    def test_distribution_follows_post_epoch_update_rule(self):
+    def test_distribution_follows_post_epoch_update_rule(self, monkeypatch):
         # the distribution used in epoch t+1 must be exactly
         # update(distribution used in epoch t, normalized scores after epoch t)
-        spy = RecordingScorer()
+        spy = RecordingScorer.every_run(monkeypatch)
         cfg = small_experiment_config(epochs=4, eval_last_k=2)
-        res = run_experiment(cfg, scorer=spy)
+        res = run_experiment(cfg)
         from boostadapt.sampler import SampleDistribution
 
         for t in range(len(res.distributions) - 1):
@@ -160,10 +186,10 @@ class TestLoopStructure:
         for weights in res.distributions:
             np.testing.assert_array_equal(weights, np.full(n, 1.0 / n))
 
-    def test_scorer_sees_the_aggregate_not_the_student(self):
-        spy = RecordingScorer()
+    def test_scorer_sees_the_aggregate_not_the_student(self, monkeypatch):
+        spy = RecordingScorer.every_run(monkeypatch)
         cfg = small_experiment_config(epochs=3, aggregation="running-mean")
-        res = run_experiment(cfg, scorer=spy)
+        res = run_experiment(cfg)
         snaps = [s.params for s in res.snapshots]
         for t in range(1, len(snaps) + 1):
             expected = np.mean(snaps[:t], axis=0)
@@ -171,21 +197,21 @@ class TestLoopStructure:
         # the student itself moved past the mean, so the two differ
         assert np.any(spy.params[-1] != snaps[-1])
 
-    def test_scorer_sees_the_student_without_aggregation(self):
-        spy = RecordingScorer()
+    def test_scorer_sees_the_student_without_aggregation(self, monkeypatch):
+        spy = RecordingScorer.every_run(monkeypatch)
         cfg = small_experiment_config(epochs=2, aggregation="none")
-        res = run_experiment(cfg, scorer=spy)
+        res = run_experiment(cfg)
         np.testing.assert_array_equal(spy.params[-1], res.snapshots[-1].params)
 
-    def test_scoring_criterion_follows_sampler(self):
+    def test_scoring_criterion_follows_sampler(self, monkeypatch):
         for sampler, expected in (
             ("kl-variance", "kl-variance"),
             ("entropy", "entropy"),
             ("uniform", "kl-variance"),  # diagnostic column only
         ):
-            spy = RecordingScorer()
+            spy = RecordingScorer.every_run(monkeypatch)
             cfg = small_experiment_config(epochs=2, sampler=sampler)
-            run_experiment(cfg, scorer=spy)
+            run_experiment(cfg)
             assert set(spy.criteria) == {expected}
 
 
@@ -276,7 +302,7 @@ class TestDeterminism:
             dataclasses.replace(cfg.shift, seed=substream_seed(cfg.seed, "data"))
         )
         r_implicit = run_experiment(cfg)
-        r_explicit = run_experiment(cfg, data=pair)
+        r_explicit = run_experiment(cfg, shared=SharedWork(cfg, pair))
         assert r_implicit.report.rows == r_explicit.report.rows
 
 
@@ -293,18 +319,20 @@ class TestDivergenceHandling:
 
         return hook
 
-    def test_error_carries_iteration_context(self):
+    def test_error_carries_iteration_context(self, monkeypatch):
         cfg = small_experiment_config(epochs=3, iters_per_epoch=4)
+        every_run_regularizes_with(monkeypatch, self._nan_after(4))
         with pytest.raises(DivergenceError) as exc:
-            run_experiment(cfg, regularizer=self._nan_after(4))
+            run_experiment(cfg)
         assert "epoch 2" in str(exc.value)
         assert "iteration 1" in str(exc.value)
 
-    def test_last_good_state_persisted(self, tmp_path):
+    def test_last_good_state_persisted(self, tmp_path, monkeypatch):
         cfg = small_experiment_config(epochs=3, iters_per_epoch=4)
         out = str(tmp_path / "diverged")
+        every_run_regularizes_with(monkeypatch, self._nan_after(4))
         with pytest.raises(DivergenceError):
-            run_experiment(cfg, regularizer=self._nan_after(4), out_dir=out)
+            run_experiment(cfg, out_dir=out)
         student = load_file(os.path.join(out, "student.abst"))
         assert student.role == ROLE_STUDENT
         assert student.seq == 1  # epoch 1 completed, epoch 2 diverged
@@ -314,28 +342,31 @@ class TestDivergenceHandling:
 
     @pytest.mark.parametrize("aggregation", AGGREGATIONS)
     def test_epoch_one_divergence_keeps_the_student_entering_adaptation(
-        self, tmp_path, aggregation
+        self, tmp_path, monkeypatch, aggregation
     ):
         cfg = small_experiment_config(aggregation=aggregation)
         out = str(tmp_path / "diverged")
+        every_run_regularizes_with(monkeypatch, self._nan_after(0))
         with pytest.raises(DivergenceError):
-            run_experiment(cfg, regularizer=self._nan_after(0), out_dir=out)
+            run_experiment(cfg, out_dir=out)
         student = load_file(os.path.join(out, "student.abst"))
         aggregate = load_file(os.path.join(out, "aggregate.abst"))
         assert (student.seq, aggregate.seq) == (0, 1)
         assert np.array_equal(aggregate.params, student.params)
 
-    def test_ema_divergence_keeps_the_epoch_end_aggregate(self, tmp_path):
+    def test_ema_divergence_keeps_the_epoch_end_aggregate(self, tmp_path, monkeypatch):
         cfg = small_experiment_config(epochs=3, iters_per_epoch=4, aggregation="ema")
         out = str(tmp_path / "diverged")
+        every_run_regularizes_with(monkeypatch, self._nan_after(5))
         with pytest.raises(DivergenceError, match="epoch 2 iteration 2"):
-            run_experiment(cfg, regularizer=self._nan_after(5), out_dir=out)
+            run_experiment(cfg, out_dir=out)
         student = load_file(os.path.join(out, "student.abst"))
         aggregate = load_file(os.path.join(out, "aggregate.abst"))
         # the EMA folds in every step of epoch 1 and none of epoch 2
         assert (student.seq, aggregate.seq) == (1, 1 + cfg.iters_per_epoch)
         assert len(read_report(os.path.join(out, "report.csv")).rows) == 1
-        finished = run_experiment(cfg, regularizer=self._nan_after(10**9))
+        every_run_regularizes_with(monkeypatch, self._nan_after(10**9))
+        finished = run_experiment(cfg)
         np.testing.assert_array_equal(student.params, finished.snapshots[0].params)
 
     def test_warmup_divergence_keeps_the_student_before_the_failing_step(
@@ -360,12 +391,13 @@ class TestDivergenceHandling:
         np.testing.assert_array_equal(aggregate.params, student.params)
         assert read_report(os.path.join(out, "report.csv")).rows == ()
 
-    def test_wrong_length_regularizer_gradient_rejected(self):
+    def test_wrong_length_regularizer_gradient_rejected(self, monkeypatch):
         def short_hook(params, images):
             return 0.0, np.zeros(params.size - 1)
 
+        every_run_regularizes_with(monkeypatch, short_hook)
         with pytest.raises(ValueError, match="term gradient shape"):
-            run_experiment(small_experiment_config(), regularizer=short_hook)
+            run_experiment(small_experiment_config())
 
 
 class TestArtifacts:
@@ -464,8 +496,6 @@ class TestAblationSuite:
         assert all(np.isfinite(r.final_student_miou) for r in rows)
 
     def test_failed_cell_recorded_suite_continues(self, monkeypatch):
-        import boostadapt.harness as harness_mod
-
         real = harness_mod.run_experiment
 
         def flaky(cfg, **kwargs):
@@ -482,8 +512,6 @@ class TestAblationSuite:
         assert np.isfinite(rows[2].final_student_miou)
 
     def test_programming_error_propagates(self, monkeypatch):
-        import boostadapt.harness as harness_mod
-
         real = harness_mod.run_experiment
         calls = {"n": 0}
 
@@ -499,8 +527,6 @@ class TestAblationSuite:
             harness_mod.run_ablation_suite(cfg, seeds=[1, 2])
 
     def test_one_domain_pair_per_seed(self, monkeypatch):
-        import boostadapt.harness as harness_mod
-
         shifts = []
 
         def counting(shift):
@@ -598,9 +624,9 @@ class TestSharedWork:
     def test_cells_share_read_only_results(self, monkeypatch):
         computed = counting_steps(monkeypatch)
         cfg = small_experiment_config(epochs=2, sampler="uniform", aggregation="none")
-        pair = generate_domain_pair(data_shift(cfg))
-        work = SharedWork(work_scope(cfg))
-        first = run_experiment(cfg, data=pair, shared=work)
+        work = SharedWork(cfg)
+        work.keep_steps = True
+        first = run_experiment(cfg, shared=work)
         steps = (cfg.warmup_epochs + cfg.epochs) * cfg.iters_per_epoch
         assert computed == [steps]
         # every step, score and confusion of the run, all read-only
@@ -609,15 +635,13 @@ class TestSharedWork:
         with pytest.raises(ValueError, match="read-only"):
             first.student[0] = 0.0
         # under uniform sampling the aggregation never reaches the student
-        second = run_experiment(
-            dataclasses.replace(cfg, aggregation="running-mean"), data=pair, shared=work
-        )
+        second = run_experiment(dataclasses.replace(cfg, aggregation="running-mean"), shared=work)
         assert computed == [steps]
         assert second.student is first.student
         assert second.report.rows != first.report.rows  # its aggregate is its own
 
     def test_every_step_input_is_in_the_key(self):
-        work = SharedWork(work_scope(small_experiment_config()))
+        work = SharedWork(small_experiment_config())
         computed = []
 
         def compute():
@@ -655,7 +679,7 @@ class TestSharedWork:
         assert len(ids) == len(changes)
 
     def test_failed_step_stores_nothing(self):
-        work = SharedWork(work_scope(small_experiment_config()))
+        work = SharedWork(small_experiment_config())
 
         def diverge():
             raise DivergenceError("injected")
@@ -679,11 +703,11 @@ class TestSharedWork:
     )
     def test_every_per_cell_field_reaches_the_lineage(self, first, second):
         cfg = small_experiment_config(epochs=3)
-        pair = generate_domain_pair(data_shift(cfg))
-        work = SharedWork(work_scope(cfg))
-        run_experiment(dataclasses.replace(cfg, **first), data=pair, shared=work)
-        shared = run_experiment(dataclasses.replace(cfg, **second), data=pair, shared=work)
-        alone = run_experiment(dataclasses.replace(cfg, **second), data=pair)
+        work = SharedWork(cfg)
+        work.keep_steps = True
+        run_experiment(dataclasses.replace(cfg, **first), shared=work)
+        shared = run_experiment(dataclasses.replace(cfg, **second), shared=work)
+        alone = run_experiment(dataclasses.replace(cfg, **second))
         assert shared.report.rows == alone.report.rows
         assert np.array_equal(shared.student, alone.student)
         assert np.array_equal(shared.aggregate, alone.aggregate)
@@ -710,24 +734,15 @@ class TestSharedWork:
         for seed in range(1, 7):
             computed.append(0)
             cell = dataclasses.replace(cfg, seed=seed)
-            pair = generate_domain_pair(data_shift(cell))
-            work = SharedWork(work_scope(cell))
+            work = SharedWork(cell)
+            work.keep_steps = True
             for temperature in (1.0, 0.5):
                 cell = dataclasses.replace(cell, softmax_temperature=temperature)
-                run_experiment(cell, data=pair, shared=work)
+                run_experiment(cell, shared=work)
         assert computed == [cfg.warmup_epochs * n + n + 2 * 2 * n] * 6
 
     def test_a_scopes_last_cell_stores_no_steps(self, monkeypatch):
-        works = []
-
-        class Recording(SharedWork):
-            def __init__(self, scope, keep_steps=True):
-                super().__init__(scope, keep_steps)
-                works.append(self)
-
-        import boostadapt.harness as harness_mod
-
-        monkeypatch.setattr(harness_mod, "SharedWork", Recording)
+        works = recording_works(monkeypatch)
         cfg = small_experiment_config(epochs=2)
         run_ablation_suite(cfg, seeds=[1], variants=["baseline", "sampler-only"])
         assert len(works) == 1 and not works[0].keep_steps
@@ -736,27 +751,41 @@ class TestSharedWork:
         # epoch 2
         computed = counting_steps(monkeypatch)
         cell = dataclasses.replace(apply_variant(cfg, "sampler-only"), seed=1)
-        run_experiment(cell, data=generate_domain_pair(data_shift(cell)), shared=works[0])
+        run_experiment(cell, shared=works[0])
         assert computed == [cfg.iters_per_epoch]
-        work = SharedWork(work_scope(cfg), keep_steps=False)
+        work = SharedWork(cfg)
         how = step_how(0, None, 0.1, 7, np.array([0, 1]), (False, False), None)
         made = work.get(how, lambda: np.ones(3), keep=work.keep_steps)
         assert work.values == {} and not made[1].flags.writeable
 
     def test_scope_mismatch_rejected(self):
         cfg = small_experiment_config(epochs=2)
-        work = SharedWork(work_scope(cfg))
+        work = SharedWork(cfg)
         with pytest.raises(ValueError, match="another scope"):
             run_experiment(dataclasses.replace(cfg, seed=1), shared=work)
 
-    def test_own_scorer_or_regularizer_keeps_its_work(self):
+    def test_a_pair_the_config_does_not_make_is_rejected(self):
+        cfg = small_experiment_config()
+        for change, named in (
+            ({"seed": 5}, "seed"),
+            ({"shift": dataclasses.replace(cfg.shift, height=12)}, "height 12 (config: 8)"),
+            ({"shift": dataclasses.replace(cfg.shift, geometry="stripes")}, "geometry 'stripes'"),
+        ):
+            other = dataclasses.replace(cfg, **change)
+            with pytest.raises(ConfigError, match="domain pair of another config") as exc:
+                SharedWork(cfg, generate_domain_pair(data_shift(other)))
+            assert named in str(exc.value)
+        pair = generate_domain_pair(data_shift(cfg))
+        assert SharedWork(cfg, pair).data is pair
+
+    def test_a_lone_runs_memo_holds_eval_passes_only(self, monkeypatch):
+        works = recording_works(monkeypatch)
         cfg = small_experiment_config(epochs=2)
-        work = SharedWork(work_scope(cfg))
-        spy = RecordingScorer()
-        run_experiment(cfg, shared=work, scorer=spy)
-        run_experiment(cfg, shared=work, regularizer=lambda p, images: (0.0, np.zeros(p.size)))
-        assert work.values == {}
-        assert len(spy.params) == cfg.epochs
+        run_experiment(cfg)
+        [work] = works
+        assert not work.keep_steps
+        kept = {how[0] for how, made in work._ids.items() if made in work.values}
+        assert kept == {"score", "confusion"}
 
     def test_every_preset_keeps_the_scope(self):
         # the suite gives all the cells of one seed one pair and one SharedWork
@@ -801,11 +830,11 @@ class TestHorizontalFlip:
                     raise AssertionError("batch item is no source image, mirrored or not")
             return out
 
-        off = run_experiment(cfg, data=pair)
+        off = run_experiment(cfg)
         off_batches, off_draws = batches[:], draws[:]
         batches.clear()
         draws.clear()
-        on = run_experiment(dataclasses.replace(cfg, horizontal_flip=True), data=pair)
+        on = run_experiment(dataclasses.replace(cfg, horizontal_flip=True))
         assert not any(m for batch in off_batches for m in mirrored(batch))
         assert any(m for batch in batches for m in mirrored(batch))
         assert np.any(on.student != off.student)
@@ -820,3 +849,26 @@ class TestOverflow:
             warnings.simplefilter("error")
             with pytest.raises(DivergenceError, match="warm-up iteration 2: non-finite loss"):
                 run_experiment(small_experiment_config(lr0=1e308))
+
+    def test_eval_passes_after_an_overflowing_step_raise_no_warning(self):
+        # the one step of epoch 1 overflows the params; the epoch-end eval
+        # passes run on them before epoch 2's step meets the non-finite loss
+        cfg = small_experiment_config(
+            epochs=2, iters_per_epoch=1, warmup_epochs=0, lr0=1e308, seed=1
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match="epoch 2 iteration 1: non-finite loss"):
+                run_experiment(cfg)
+
+    @pytest.mark.parametrize("seed", range(1, 7))
+    def test_a_huge_finite_step_is_no_divergence(self, seed):
+        # no parameter-magnitude guard: a run diverges on a non-finite loss
+        # alone, so lr0=1e10 saturates the model but completes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run_experiment(small_experiment_config(lr0=1e10, seed=seed))
+        assert len(res.report.rows) == 3
+        for row in res.report.rows:
+            assert all(np.isfinite(v) for v in dataclasses.astuple(row) if isinstance(v, float))
+        assert np.all(np.isfinite(res.student)) and np.all(np.isfinite(res.aggregate))

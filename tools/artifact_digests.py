@@ -8,11 +8,16 @@ give the same output, so a byte-identity check is one ``diff``:
 
     PYTHONPATH=src python3 tools/artifact_digests.py --seed 1 > digests.txt
 
-Each preset also runs three forced divergences, so the state a diverging
+Each preset also runs four forced divergences, so the state a diverging
 run persists is hashed too: a regularizer hook returning a NaN loss at
 epoch 1 iteration 3 (``diverge-e1i3``) and at epoch 2 iteration 3
-(``diverge-e2i3``), and ``lr0=1e308``, whose loss overflows at warm-up
-iteration 2 (``diverge-warmup``). Every divergence is noted on stderr.
+(``diverge-e2i3``), put in place of ``harness.make_regularizer``;
+``lr0=1e308``, whose loss overflows at warm-up iteration 2
+(``diverge-warmup``); and ``lr0=1e308`` with one iteration per epoch and no
+warm-up, whose epoch-1 step overflows the params that the epoch-end eval
+passes then read, before epoch 2's loss is non-finite
+(``diverge-epoch-end``). Every divergence is noted on stderr, and no
+numpy ``RuntimeWarning`` should be.
 
 The ``full-variance`` preset also goes through the CLI's import path:
 ``gen-data`` exports its pair to ``full-variance/export/`` and ``run --data``
@@ -40,6 +45,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from boostadapt import harness
 from boostadapt.cli import cli_main
 from boostadapt.config import (
     REGULARIZERS,
@@ -49,7 +55,6 @@ from boostadapt.config import (
     experiment_config_to_dict,
 )
 from boostadapt.errors import DivergenceError
-from boostadapt.harness import run_ablation_suite, run_experiment
 
 
 def digests(root: str) -> list[str]:
@@ -75,11 +80,22 @@ def nan_at(call: int):
     return hook
 
 
-def run(cfg: ExperimentConfig, root: str, variant: str, name: str, **kwargs) -> None:
+@contextlib.contextmanager
+def regularized_by(hook):
+    """Make ``hook`` the regularizer of every run inside the block."""
+    make_regularizer = harness.make_regularizer
+    harness.make_regularizer = lambda model, kind, weight: hook
+    try:
+        yield
+    finally:
+        harness.make_regularizer = make_regularizer
+
+
+def run(cfg: ExperimentConfig, root: str, variant: str, name: str) -> None:
     """Run ``cfg`` into ``root/variant/name``, noting a divergence on stderr."""
     out_dir = os.path.join(root, variant, name)
     try:
-        run_experiment(cfg, variant_label=variant, out_dir=out_dir, **kwargs)
+        harness.run_experiment(cfg, variant_label=variant, out_dir=out_dir)
     except DivergenceError as exc:
         print(f"{variant}/{name} diverged: {exc}", file=sys.stderr)
 
@@ -114,11 +130,14 @@ def main(argv: list[str] | None = None) -> int:
                 run(replace(cfg, regularizer=regularizer), tmp, variant, regularizer)
             for epoch in (1, 2):
                 call = (epoch - 1) * cfg.iters_per_epoch + 3
-                run(cfg, tmp, variant, f"diverge-e{epoch}i3", regularizer=nan_at(call))
+                with regularized_by(nan_at(call)):
+                    run(cfg, tmp, variant, f"diverge-e{epoch}i3")
             run(replace(cfg, lr0=1e308), tmp, variant, "diverge-warmup")
+            epoch_end = replace(cfg, iters_per_epoch=1, warmup_epochs=0, lr0=1e308)
+            run(epoch_end, tmp, variant, "diverge-epoch-end")
         from_export(apply_variant(base, "full-variance"), tmp, "full-variance")
         for regularizer in REGULARIZERS:
-            run_ablation_suite(
+            harness.run_ablation_suite(
                 replace(base, regularizer=regularizer),
                 [args.seed, args.seed + 1],
                 variants=sorted(VARIANT_PRESETS),
