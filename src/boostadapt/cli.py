@@ -21,7 +21,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import paramio
-from .config import VARIANT_PRESETS, apply_variant, load_experiment_config
+from .config import VARIANT_PRESETS, ExperimentConfig, apply_variant, load_experiment_config
 from .data import export_domain_pair, generate_domain_pair, import_domain_pair
 from .errors import ConfigError, DivergenceError, FormatError
 from .harness import SharedWork, data_shift, run_ablation_suite, run_experiment
@@ -68,17 +68,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen_p = sub.add_parser("gen-data", help="export the synthetic domain pair")
     gen_p.add_argument("--config", required=True, help="experiment config JSON")
+    gen_p.add_argument("--seed", type=int, default=None, help="override the master seed")
     gen_p.add_argument("--out", required=True, help="output directory")
     gen_p.set_defaults(func=_cmd_gen_data)
     return parser
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _seeded_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The config file of ``args``, its master seed replaced by ``--seed``."""
     cfg = load_experiment_config(args.config)
+    return cfg if args.seed is None else replace(cfg, seed=args.seed)
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    cfg = _seeded_config(args)
     if args.variant is not None:
         cfg = apply_variant(cfg, args.variant)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
     out_dir = args.out or cfg.out_dir
     if out_dir is None:
         raise ConfigError("no output directory: pass --out or set out_dir in the config")
@@ -131,7 +136,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:
-    cfg = load_experiment_config(args.config)
+    cfg = _seeded_config(args)
     # the pair `run` trains on: its seed comes from the master seed
     pair = generate_domain_pair(data_shift(cfg))
     export_domain_pair(pair, args.out)

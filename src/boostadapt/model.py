@@ -16,7 +16,7 @@ weights and bias.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Hashable, Iterator, Sequence
 
 import numpy as np
 
@@ -317,40 +317,62 @@ class TwoHeadModel:
             raise IndexError("label out of class range")
         return labels.astype(np.int64)
 
+    def image_key(self, image: np.ndarray) -> bytes:
+        """A ``value_and_grad`` key of ``image``: the bytes of the checked
+        float64 input, so equal keys forward and back-propagate alike."""
+        return self._check_image(image).tobytes()
+
     def value_and_grad(
         self,
         params: np.ndarray,
         images: Sequence[np.ndarray],
         head_terms: Callable[
-            [slice, _ForwardCache], tuple[np.ndarray, np.ndarray, np.ndarray | None]
+            [np.ndarray, _ForwardCache], tuple[np.ndarray, np.ndarray, np.ndarray | None]
         ],
         dropout_seed: int | None = None,
+        keys: Sequence[Hashable] | None = None,
     ) -> tuple[float, np.ndarray]:
         """Sum of per-image loss terms over ``images`` and its gradient.
 
-        The one training forward/backward loop. ``images`` are forwarded
-        ``chunk`` at a time as stacks; for each ``span`` of ``images``,
-        ``head_terms(span, cache)`` gets the stacked cache and returns the
-        span's per-image loss terms, (m,), and dloss/dlogits of the primary
-        and aux heads, each (m, H*W, C); an aux ``None`` skips the aux head's
-        backward. Terms and per-image gradients are summed in image order,
-        so the result equals a one-image-at-a-time loop bit for bit. The head
-        masks of ``dropout_seed`` (None: eval mode) are drawn once per call.
+        The one training forward/backward loop. ``keys``, one per image,
+        name equal inputs: each distinct key is forwarded and back-propagated
+        once, at its first position, and without ``keys`` every position is
+        distinct. Distinct inputs go ``chunk`` at a time as stacks; for each
+        stack, ``head_terms(at, cache)`` gets the positions ``at`` (an index
+        array into ``images``) and the stacked cache, and returns their
+        per-image loss terms, (m,), and dloss/dlogits of the primary and aux
+        heads, each (m, H*W, C); an aux ``None`` skips the aux head's
+        backward. The term and gradient row of each input are then added at
+        every position that holds it, in position order, so the result
+        equals a one-image-at-a-time loop over all positions bit for bit.
+        The head masks of ``dropout_seed`` (None: eval mode) are drawn once
+        per call, so equal inputs compute alike.
         """
         if not np.all(np.isfinite(params)):
             raise DivergenceError("non-finite parameters")
+        n = len(images)
+        if keys is not None and len(keys) != n:
+            raise ValueError(f"{len(keys)} keys for {n} images")
+        keys = range(n) if keys is None else keys
+        # the first position that holds each position's input
+        seen: dict[Hashable, int] = {}
+        first = [seen.setdefault(key, i) for i, key in enumerate(keys)]
+        distinct = np.array(list(seen.values()), dtype=np.intp)
         masks = self._head_masks(dropout_seed)
+        terms = np.zeros(n)
+        rows = np.zeros((n, self.param_count))
+        for lo in range(0, len(distinct), self.chunk):
+            at = distinct[lo : lo + self.chunk]
+            stack = np.stack([self._check_image(images[i]) for i in at])
+            cache = self._forward_cache(params, stack, masks)
+            at_terms, dlogits_p, dlogits_a = head_terms(at, cache)
+            terms[at] = at_terms
+            rows[at] = self._backward(params, cache, dlogits_p, dlogits_a, masks)
         total = 0.0
         grad = np.zeros(self.param_count)
-        for lo in range(0, len(images), self.chunk):
-            span = slice(lo, lo + self.chunk)
-            stack = np.stack([self._check_image(image) for image in images[span]])
-            cache = self._forward_cache(params, stack, masks)
-            terms, dlogits_p, dlogits_a = head_terms(span, cache)
-            rows = self._backward(params, cache, dlogits_p, dlogits_a, masks)
-            for term, row in zip(terms, rows):
-                total += term
-                grad += row
+        for i in first:
+            total += terms[i]
+            grad += rows[i]
         return float(total), grad
 
     def loss_and_grad(
@@ -371,8 +393,8 @@ class TwoHeadModel:
         flats = np.stack([self._check_labels(labels).reshape(-1) for _, labels in batch])
         hot = flats[..., None] == np.arange(self.config.classes)  # (n, H*W, C) one-hot
 
-        def head_terms(span: slice, cache: _ForwardCache) -> tuple[np.ndarray, ...]:
-            onehot = hot[span]
+        def head_terms(at: np.ndarray, cache: _ForwardCache) -> tuple[np.ndarray, ...]:
+            onehot = hot[at]
             m = len(onehot)
             ce_p, ce_a = (
                 -(shifted[onehot].reshape(m, -1) - np.log(norm)).mean(axis=-1)
@@ -386,7 +408,9 @@ class TwoHeadModel:
             return (ce_p + lam * ce_a) / n, dlogits_p, dlogits_a
 
         images = [image for image, _ in batch]
-        return self.value_and_grad(params, images, head_terms, dropout_seed)
+        # an image drawn twice with the same labels is computed once
+        keys = [(self.image_key(image), flat.tobytes()) for image, flat in zip(images, flats)]
+        return self.value_and_grad(params, images, head_terms, dropout_seed, keys)
 
     def grad_step(
         self,

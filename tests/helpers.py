@@ -4,7 +4,7 @@ import numpy as np
 
 from boostadapt.config import ExperimentConfig
 from boostadapt.data import ShiftConfig
-from boostadapt.model import ModelConfig
+from boostadapt.model import ModelConfig, TwoHeadModel
 
 
 def max_rel_error(got: np.ndarray, want: np.ndarray, floor: float = 1e-3) -> float:
@@ -71,3 +71,29 @@ def random_image(rng: np.random.Generator, cfg: ModelConfig) -> np.ndarray:
 
 def random_labels(rng: np.random.Generator, cfg: ModelConfig) -> np.ndarray:
     return rng.integers(0, cfg.classes, (cfg.height, cfg.width))
+
+
+def per_position(monkeypatch) -> None:
+    """Make ``TwoHeadModel.value_and_grad`` drop its ``keys``, so every batch
+    position is forwarded and back-propagated on its own: the reference loop
+    whose bits a call that merges equal inputs must give."""
+    value_and_grad = TwoHeadModel.value_and_grad
+
+    def every_position(model, params, images, head_terms, dropout_seed=None, keys=None):
+        return value_and_grad(model, params, images, head_terms, dropout_seed)
+
+    monkeypatch.setattr(TwoHeadModel, "value_and_grad", every_position)
+
+
+def forwarded_images(monkeypatch) -> list:
+    """Patch ``TwoHeadModel._forward_cache`` to append every image it forwards
+    to the returned list."""
+    seen = []
+    forward_cache = TwoHeadModel._forward_cache
+
+    def counting(model, params, image, masks):
+        seen.extend(image.reshape(-1, *image.shape[-3:]))
+        return forward_cache(model, params, image, masks)
+
+    monkeypatch.setattr(TwoHeadModel, "_forward_cache", counting)
+    return seen

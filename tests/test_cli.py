@@ -247,6 +247,24 @@ class TestGenData:
         assert pair.source_images.shape[0] == 6
         assert "wrote 6 source / 6 target" in capsys.readouterr().out
 
+    def test_seed_override_exports_the_pair_run_trains_on(self, tmp_path, config_path):
+        data_dir = str(tmp_path / "data")
+        argv = ["gen-data", "--config", config_path, "--seed", "5", "--out", data_dir]
+        assert cli_main(argv) == EXIT_OK
+        seeded = ["run", "--config", config_path, "--seed", "5"]
+        out, plain = str(tmp_path / "from-data"), str(tmp_path / "plain")
+        assert cli_main([*seeded, "--data", data_dir, "--out", out]) == EXIT_OK
+        assert cli_main([*seeded, "--out", plain]) == EXIT_OK
+        for name in ("report.csv", "student.abst", "aggregate.abst"):
+            assert Path(plain, name).read_bytes() == Path(out, name).read_bytes(), name
+
+    def test_negative_seed_is_config_error(self, tmp_path, config_path, capsys):
+        out = tmp_path / "data"
+        argv = ["gen-data", "--config", config_path, "--seed", "-1", "--out", str(out)]
+        assert cli_main(argv) == EXIT_CONFIG
+        assert "config error: seed must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAblate:
     def test_grid_summary(self, tmp_path, config_path, capsys):

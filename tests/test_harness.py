@@ -39,7 +39,7 @@ from boostadapt.rng import substream_seed
 from boostadapt.sampler import update as sampler_update
 from boostadapt.uncertainty import normalize_scores, score_dataset
 
-from helpers import small_experiment_config
+from helpers import forwarded_images, per_position, small_experiment_config, small_shift_config
 
 
 class RecordingScorer:
@@ -304,6 +304,37 @@ class TestDeterminism:
         r_implicit = run_experiment(cfg)
         r_explicit = run_experiment(cfg, shared=SharedWork(cfg, pair))
         assert r_implicit.report.rows == r_explicit.report.rows
+
+
+    @pytest.mark.parametrize("regularizer", ["entropy-min", "self-training"])
+    def test_repeated_draws_write_the_bytes_of_the_per_position_loop(
+        self, tmp_path, monkeypatch, regularizer
+    ):
+        # batches of 8 drawn from 16 + 16 images, some flipped, repeat
+        # inputs; computing each once changes no output byte
+        cfg = small_experiment_config(
+            epochs=2,
+            iters_per_epoch=4,
+            batch_size=8,
+            eval_last_k=1,
+            sampler="kl-variance",
+            horizontal_flip=True,
+            dump_distributions=True,
+            regularizer=regularizer,
+            shift=small_shift_config(source_count=16, target_count=16),
+        )
+        forwarded = forwarded_images(monkeypatch)
+        run_experiment(cfg, out_dir=str(tmp_path / "merged"))
+        merged = len(forwarded)
+        forwarded.clear()
+        per_position(monkeypatch)
+        run_experiment(cfg, out_dir=str(tmp_path / "per-position"))
+        assert merged < len(forwarded)
+        names = sorted(p.name for p in (tmp_path / "merged").iterdir())
+        assert len(names) == 4
+        for name in names:
+            got = (tmp_path / "merged" / name).read_bytes()
+            assert got == (tmp_path / "per-position" / name).read_bytes(), name
 
 
 class TestDivergenceHandling:

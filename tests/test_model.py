@@ -20,7 +20,14 @@ from boostadapt.model import (
 from boostadapt.numerics import cross_entropy, finite_difference_gradient, log_softmax, softmax
 from boostadapt.regularizers import entropy_min_regularizer, self_training_regularizer
 
-from helpers import max_rel_error, random_image, random_labels, small_model_config
+from helpers import (
+    forwarded_images,
+    max_rel_error,
+    per_position,
+    random_image,
+    random_labels,
+    small_model_config,
+)
 
 
 def loop_im2col(grid, radius):
@@ -255,10 +262,10 @@ class TestLoss:
             labels = rng.integers(0, classes, (n, size * size))
             batch = [(image, flat.reshape(size, size)) for image, flat in zip(images, labels)]
 
-            def oracle_terms(span, cache):
+            def oracle_terms(at, cache):
                 assert same_bits(cache.probs_p, softmax(cache.logits_p))
                 assert same_bits(cache.probs_a, softmax(cache.logits_a))
-                picks = labels[span][..., None]
+                picks = labels[at][..., None]
                 ce_p, ce_a = (
                     -np.take_along_axis(log_softmax(logits), picks, -1)[..., 0].mean(axis=-1)
                     for logits in (cache.logits_p, cache.logits_a)
@@ -356,8 +363,8 @@ class TestGradient:
         images = [random_image(rng, cfg) for _ in range(2)]
         coef = rng.normal(size=(len(images), 2, n_pix, cfg.classes))
 
-        def head_terms(span, cache):
-            c = coef[span]
+        def head_terms(at, cache):
+            c = coef[at]
             terms = np.sum(c[:, 0] * cache.logits_p, axis=(1, 2)) + np.sum(
                 c[:, 1] * cache.logits_a, axis=(1, 2)
             )
@@ -388,8 +395,8 @@ class TestGradient:
         labels = list(rng.integers(0, cfg.classes, (n, cfg.height, cfg.width)))
         coef = rng.normal(size=(n, 2, cfg.height * cfg.width, cfg.classes))
 
-        def linear(span, cache):
-            c = coef[span]
+        def linear(at, cache):
+            c = coef[at]
             terms = np.sum(c[:, 0] * cache.logits_p, axis=(1, 2))
             return terms, c[:, 0], c[:, 1]
 
@@ -398,7 +405,7 @@ class TestGradient:
             want_total, want_grad = 0.0, np.zeros(model.param_count)
             for i, image in enumerate(images):
                 term, g = model.value_and_grad(
-                    params, [image], lambda _, cache: linear(slice(i, i + 1), cache), dropout_seed
+                    params, [image], lambda _, cache: linear([i], cache), dropout_seed
                 )
                 want_total += term
                 want_grad += g
@@ -415,12 +422,12 @@ class TestGradient:
             assert got[0] == want[0] and same_bits(got[1], want[1])
 
         # an aux dlogits of None skips the aux head's backward, bit for bit
-        def no_aux(span, cache):
-            terms, dlogits_p, _ = linear(span, cache)
+        def no_aux(at, cache):
+            terms, dlogits_p, _ = linear(at, cache)
             return terms, dlogits_p, None
 
-        def zero_aux(span, cache):
-            terms, dlogits_p, dlogits_a = linear(span, cache)
+        def zero_aux(at, cache):
+            terms, dlogits_p, dlogits_a = linear(at, cache)
             return terms, dlogits_p, np.zeros_like(dlogits_a)
 
         skipped = model.value_and_grad(params, images, no_aux)
@@ -447,6 +454,109 @@ class TestGradient:
         _, g_all = model.loss_and_grad(params, data, dropout_seed=1)
         singles = [model.loss_and_grad(params, [d], dropout_seed=1)[1] for d in data]
         np.testing.assert_allclose(g_all, np.mean(singles, axis=0), atol=1e-12)
+
+
+class TestRepeatedInputs:
+    """A sampler that draws with replacement repeats images within a batch;
+    each distinct input is computed once and counted at every position."""
+
+    @staticmethod
+    def _draws(cfg, rng, n):
+        # 3 images drawn into n positions with replacement, a third of them
+        # flipped as the harness flips a draw: a flipped image is another input
+        images = rng.normal(0.0, 1.5, (3, cfg.height, cfg.width, cfg.features))
+        labels = rng.integers(0, cfg.classes, (3, cfg.height, cfg.width))
+        batch = []
+        for i, flip in zip(rng.integers(0, 3, n), rng.random(n) < 1 / 3):
+            pair = (images[i], labels[i])
+            batch.append(tuple(a[:, ::-1] for a in pair) if flip else pair)
+        return batch
+
+    def test_repeats_give_the_bits_of_the_per_position_loop(self, monkeypatch):
+        cfg = ModelConfig()
+        model = TwoHeadModel(cfg)
+        single = TwoHeadModel(cfg)
+        single.chunk = 1
+        rng = np.random.default_rng(31)
+        params = model.init_params(3)
+        n = 2 * model.chunk + 3
+        batch = self._draws(cfg, rng, n)
+        images = [image for image, _ in batch]
+        hooks = (entropy_min_regularizer, self_training_regularizer)
+        forwarded = forwarded_images(monkeypatch)
+        got = [model.loss_and_grad(params, batch, seed) for seed in (None, 4)]
+        got += [make(model, 0.5)(params, images) for make in hooks]
+        merged = len(forwarded)
+        forwarded.clear()
+        per_position(monkeypatch)
+        want = [single.loss_and_grad(params, batch, seed) for seed in (None, 4)]
+        want += [make(single, 0.5)(params, images) for make in hooks]
+        assert merged < len(forwarded) == 4 * n
+        for (total, grad), (want_total, want_grad) in zip(got, want, strict=True):
+            assert total == want_total and same_bits(grad, want_grad)
+
+    def test_each_distinct_input_is_forwarded_once(self, monkeypatch):
+        cfg = small_model_config()
+        model = TwoHeadModel(cfg)
+        rng = np.random.default_rng(32)
+        params = model.init_params(5)
+        batch = self._draws(cfg, rng, 12)
+        distinct = {(image.tobytes(), labels.tobytes()): image for image, labels in batch}
+        assert len(distinct) < len(batch)
+        forwarded = forwarded_images(monkeypatch)
+        model.loss_and_grad(params, batch, dropout_seed=2)
+        assert [image.tobytes() for image in forwarded] == [
+            image.tobytes() for image in distinct.values()
+        ]
+        forwarded.clear()
+        self_training_regularizer(model, 0.5)(params, [image for image, _ in batch])
+        assert len(forwarded) == len({image.tobytes() for image in forwarded}) == len(distinct)
+
+    def test_same_image_with_other_labels_is_computed_twice(self, monkeypatch):
+        cfg = small_model_config()
+        model = TwoHeadModel(cfg)
+        rng = np.random.default_rng(33)
+        params = model.init_params(6)
+        image = random_image(rng, cfg)
+        labels = [random_labels(rng, cfg), random_labels(rng, cfg)]
+        batch = [(image, labels[0]), (image, labels[1]), (image, labels[0])]
+        forwarded = forwarded_images(monkeypatch)
+        got = model.loss_and_grad(params, batch)
+        assert len(forwarded) == 2
+        per_position(monkeypatch)
+        want = model.loss_and_grad(params, batch)
+        assert got[0] == want[0] and same_bits(got[1], want[1])
+
+    def test_without_keys_no_positions_merge(self, monkeypatch):
+        # head terms that read per-position data see every position, even
+        # where the images repeat
+        cfg = small_model_config()
+        model = TwoHeadModel(cfg)
+        rng = np.random.default_rng(34)
+        params = model.init_params(7)
+        image = random_image(rng, cfg)
+        n = 5
+        coef = rng.normal(size=(n, cfg.height * cfg.width, cfg.classes))
+        positions = []
+
+        def linear(at, cache):
+            positions.extend(at)
+            return np.sum(coef[at] * cache.logits_p, axis=(1, 2)), coef[at], None
+
+        forwarded = forwarded_images(monkeypatch)
+        total, _ = model.value_and_grad(params, [image] * n, linear)
+        assert positions == list(range(n)) and len(forwarded) == n
+        want = 0.0
+        for i in range(n):
+            at = np.array([i])
+            want += model.value_and_grad(params, [image], lambda _, cache: linear(at, cache))[0]
+        assert total == want
+
+    def test_keys_must_match_images(self):
+        model = TwoHeadModel(small_model_config())
+        image = random_image(np.random.default_rng(35), model.config)
+        with pytest.raises(ValueError, match="1 keys for 2 images"):
+            model.value_and_grad(model.init_params(0), [image] * 2, None, keys=["a"])
 
 
 class TestGradStep:

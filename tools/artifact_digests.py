@@ -8,6 +8,11 @@ give the same output, so a byte-identity check is one ``diff``:
 
     PYTHONPATH=src python3 tools/artifact_digests.py --seed 1 > digests.txt
 
+Each preset also runs once as ``repeats``: self-training, batches of 8
+drawn from 16 source and 16 target images at 16x16 with ``horizontal_flip``
+on, 4 epochs of 5 iterations, so batches hold repeated and flipped draws,
+which training computes once per distinct input.
+
 Each preset also runs four forced divergences, so the state a diverging
 run persists is hashed too: a regularizer hook returning a NaN loss at
 epoch 1 iteration 3 (``diverge-e1i3``) and at epoch 2 iteration 3
@@ -100,6 +105,22 @@ def run(cfg: ExperimentConfig, root: str, variant: str, name: str) -> None:
         print(f"{variant}/{name} diverged: {exc}", file=sys.stderr)
 
 
+def repeats(cfg: ExperimentConfig) -> ExperimentConfig:
+    """``cfg`` with batches of 8 from 16 + 16 images, some drawn flipped, so
+    most batches repeat an input."""
+    return replace(
+        cfg,
+        regularizer="self-training",
+        epochs=4,
+        iters_per_epoch=5,
+        warmup_epochs=1,
+        eval_last_k=2,
+        batch_size=8,
+        horizontal_flip=True,
+        shift=replace(cfg.shift, height=16, width=16, source_count=16, target_count=16),
+    )
+
+
 def from_export(cfg: ExperimentConfig, root: str, variant: str) -> None:
     """``gen-data`` of ``cfg`` into ``root/variant/export``, then ``run
     --data`` on that export into ``root/variant/from-export``, through the
@@ -128,6 +149,7 @@ def main(argv: list[str] | None = None) -> int:
             cfg = apply_variant(base, variant)
             for regularizer in REGULARIZERS:
                 run(replace(cfg, regularizer=regularizer), tmp, variant, regularizer)
+            run(repeats(cfg), tmp, variant, "repeats")
             for epoch in (1, 2):
                 call = (epoch - 1) * cfg.iters_per_epoch + 3
                 with regularized_by(nan_at(call)):
