@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import typing
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -128,41 +129,51 @@ class ExperimentConfig:
         )
 
 
+_SECTIONS = ("model", "shift")
 _MODEL_KEYS = ("hidden1", "hidden2", "r_aux", "r_primary")
 _SHIFT_KEYS = tuple(f.name for f in dataclasses.fields(ShiftConfig))
 _TOP_KEYS = tuple(
     f.name
     for f in dataclasses.fields(ExperimentConfig)
     if f.name not in _MODEL_KEYS and f.name != "shift"
-) + ("model", "shift")
+) + _SECTIONS
 
 
-def _check_keys(given: dict, allowed: tuple[str, ...], where: str) -> None:
+def _is_a(value: Any, hint: Any) -> bool:
+    """Whether the JSON ``value`` fits a field annotated ``hint``: a bool is
+    no number, and an int is also a float."""
+    if typing.get_origin(hint) is tuple:  # tuple[float, ...], a JSON list
+        return isinstance(value, list) and all(_is_a(v, float) for v in value)
+    # a union's members, or the one type
+    kinds = (int, float) if hint is float else typing.get_args(hint) or (hint,)
+    return isinstance(value, kinds) and (hint is bool or not isinstance(value, bool))
+
+
+def _check_section(given: Any, allowed: tuple[str, ...], cls: type, where: str) -> dict:
+    """``given``, checked to be a JSON object with keys in ``allowed`` whose
+    values (other than the nested sections) have JSON types that fit their
+    fields of ``cls``."""
+    if not isinstance(given, dict):
+        raise ConfigError(f"{where} config must be a JSON object")
     unknown = sorted(set(given) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown {where} config keys: {unknown}")
+    hints = typing.get_type_hints(cls)
+    for name, value in given.items():
+        if name not in _SECTIONS and not _is_a(value, hints[name]):
+            kind = hints[name].__name__ if isinstance(hints[name], type) else hints[name]
+            raise ConfigError(f"{where} config value {name}={value!r} is not of type {kind}")
+    return given
 
 
 def experiment_config_from_dict(raw: dict) -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("experiment config must be a JSON object")
-    _check_keys(raw, _TOP_KEYS, "top-level")
-    kwargs: dict[str, Any] = {k: v for k, v in raw.items() if k not in ("model", "shift")}
-    model_section = raw.get("model", {})
-    if not isinstance(model_section, dict):
-        raise ConfigError("'model' section must be an object")
-    _check_keys(model_section, _MODEL_KEYS, "model")
-    kwargs.update(model_section)
-    shift_section = raw.get("shift", {})
-    if not isinstance(shift_section, dict):
-        raise ConfigError("'shift' section must be an object")
-    _check_keys(shift_section, _SHIFT_KEYS, "shift")
+    _check_section(raw, _TOP_KEYS, ExperimentConfig, "top-level")
+    model = _check_section(raw.get("model", {}), _MODEL_KEYS, ExperimentConfig, "model")
+    shift = _check_section(raw.get("shift", {}), _SHIFT_KEYS, ShiftConfig, "shift")
+    top = {k: v for k, v in raw.items() if k not in _SECTIONS}
     try:
-        kwargs["shift"] = ShiftConfig(**shift_section)
-        return ExperimentConfig(**kwargs)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
+        return ExperimentConfig(**top, **model, shift=ShiftConfig(**shift))
+    except ValueError as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
 
 

@@ -202,7 +202,8 @@ def export_domain_pair(pair: DomainPair, out_dir: str) -> None:
 
 def import_domain_pair(in_dir: str) -> DomainPair:
     """Inverse of ``export_domain_pair``; round-trips bit-exactly. An array
-    file whose sha256 differs from its manifest entry raises ``FormatError``."""
+    file whose sha256 differs from its manifest entry, or a manifest shape
+    that is not the one its config makes, raises ``FormatError``."""
     path = os.path.join(in_dir, MANIFEST_NAME)
     try:
         with open(path) as fh:
@@ -221,6 +222,8 @@ def import_domain_pair(in_dir: str) -> DomainPair:
         raise FormatError(f"bad config in {path}: {exc}") from exc
     loaded = {}
     for name in _ARRAY_FIELDS:
+        count = cfg.source_count if name.startswith("source") else cfg.target_count
+        want = (count, cfg.height, cfg.width) + ((cfg.features,) if "images" in name else ())
         try:
             entry = manifest["arrays"][name]
             fpath = os.path.join(in_dir, entry["file"])
@@ -233,6 +236,8 @@ def import_domain_pair(in_dir: str) -> DomainPair:
             raise FormatError(f"bad array entry {name!r} in {path}: {exc}") from exc
         if hashlib.sha256(blob).hexdigest() != digest:
             raise FormatError(f"array file {fpath} does not match the sha256 in {path}")
+        if shape != want:
+            raise FormatError(f"array {name!r} has shape {shape}, its config makes {want}")
         if arr.size != int(np.prod(shape)):
             raise FormatError(
                 f"array {name!r} has {arr.size} values, expected shape {shape}"

@@ -16,7 +16,7 @@ weights and bias.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -114,6 +114,9 @@ class _ForwardCache:
     shifted_p: np.ndarray
     norm_a: np.ndarray
     norm_p: np.ndarray
+    # what the stack was forwarded with, for its backward
+    weights: list[np.ndarray]
+    masks: tuple[np.ndarray | None, np.ndarray | None]
 
 
 class TwoHeadModel:
@@ -196,7 +199,8 @@ class TwoHeadModel:
         masks: tuple[np.ndarray | None, np.ndarray | None],
     ) -> _ForwardCache:
         c = self.config
-        w1, b1, w2, b2, wa, ba, wp, bp = self._unpack(params)
+        weights = self._unpack(params)
+        w1, b1, w2, b2, wa, ba, wp, bp = weights
         mask_a, mask_p = masks
         patches1 = _im2col(image, c.r_aux)
         act1 = np.tanh(patches1 @ w1 + b1)
@@ -224,26 +228,24 @@ class TwoHeadModel:
             shifted_p=shifted_p,
             norm_a=norm_a,
             norm_p=norm_p,
+            weights=weights,
+            masks=masks,
         )
 
     def _backward(
-        self,
-        params: np.ndarray,
-        cache: _ForwardCache,
-        dlogits_p: np.ndarray,
-        dlogits_a: np.ndarray | None,
-        masks: tuple[np.ndarray | None, np.ndarray | None],
+        self, cache: _ForwardCache, dlogits_p: np.ndarray, dlogits_a: np.ndarray | None
     ) -> np.ndarray:
         """Gradient rows, one per image of the cached (m, ...) stack, of a
-        loss given dloss/dlogits of both heads, each (m, H*W, C).
+        loss given dloss/dlogits of both heads, each (m, H*W, C), at the
+        weights and head masks the stack was forwarded with.
 
         Stacked matmuls run one gemm per image, so each row equals the
         single-image gradient bit for bit. ``dlogits_a=None`` means the aux
         head gets no gradient: its matmuls are skipped and its rows are zero.
         """
         c = self.config
-        w1, b1, w2, b2, wa, ba, wp, bp = self._unpack(params)
-        mask_a, mask_p = masks
+        w1, b1, w2, b2, wa, ba, wp, bp = cache.weights
+        mask_a, mask_p = cache.masks
         m = dlogits_p.shape[0]
 
         g_wp = np.swapaxes(cache.head_in_p, -1, -2) @ dlogits_p
@@ -279,19 +281,16 @@ class TwoHeadModel:
             axis=1,
         )
 
-    def forward(
-        self, params: np.ndarray, image: np.ndarray, dropout_seed: int | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-pixel class probabilities, (primary, aux), each (H, W, C).
+    def forward(self, params: np.ndarray, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Eval-mode per-pixel class probabilities, (primary, aux), each (H, W, C).
 
         ``image`` may also be an (N, H, W, F) stack, giving (N, H, W, C) maps
-        equal bit for bit to N single-image calls. ``dropout_seed=None`` is
-        eval mode (dropout off); an integer seed draws the train-mode head
-        masks deterministically, shared by every image of a stack.
+        equal bit for bit to N single-image calls. Train mode, with head
+        masks, runs only inside ``value_and_grad``.
         """
         c = self.config
         image = self._check_image(image, stack=True)
-        cache = self._forward_cache(params, image, self._head_masks(dropout_seed))
+        cache = self._forward_cache(params, image, (None, None))
         shape = (*image.shape[:-3], c.height, c.width, c.classes)
         return cache.probs_p.reshape(shape), cache.probs_a.reshape(shape)
 
@@ -317,11 +316,6 @@ class TwoHeadModel:
             raise IndexError("label out of class range")
         return labels.astype(np.int64)
 
-    def image_key(self, image: np.ndarray) -> bytes:
-        """A ``value_and_grad`` key of ``image``: the bytes of the checked
-        float64 input, so equal keys forward and back-propagate alike."""
-        return self._check_image(image).tobytes()
-
     def value_and_grad(
         self,
         params: np.ndarray,
@@ -330,16 +324,19 @@ class TwoHeadModel:
             [np.ndarray, _ForwardCache], tuple[np.ndarray, np.ndarray, np.ndarray | None]
         ],
         dropout_seed: int | None = None,
-        keys: Sequence[Hashable] | None = None,
+        targets: np.ndarray | None = None,
     ) -> tuple[float, np.ndarray]:
         """Sum of per-image loss terms over ``images`` and its gradient.
 
-        The one training forward/backward loop. ``keys``, one per image,
-        name equal inputs: each distinct key is forwarded and back-propagated
-        once, at its first position, and without ``keys`` every position is
-        distinct. Distinct inputs go ``chunk`` at a time as stacks; for each
-        stack, ``head_terms(at, cache)`` gets the positions ``at`` (an index
-        array into ``images``) and the stacked cache, and returns their
+        The one training forward/backward loop, and the one place that
+        decides which inputs are equal. ``targets``, if given, is an array
+        with one row per image of the per-image data the loss reads (e.g.
+        one-hot labels). Two positions hold one input when their checked
+        image bytes and their ``targets`` rows are equal; each input is
+        forwarded and back-propagated once, at its first position. Inputs
+        go ``chunk`` at a time as stacks; for each stack,
+        ``head_terms(rows, cache)`` gets the stack's ``targets`` rows (empty
+        rows without ``targets``) and the stacked cache, and returns their
         per-image loss terms, (m,), and dloss/dlogits of the primary and aux
         heads, each (m, H*W, C); an aux ``None`` skips the aux head's
         backward. The term and gradient row of each input are then added at
@@ -351,28 +348,31 @@ class TwoHeadModel:
         if not np.all(np.isfinite(params)):
             raise DivergenceError("non-finite parameters")
         n = len(images)
-        if keys is not None and len(keys) != n:
-            raise ValueError(f"{len(keys)} keys for {n} images")
-        keys = range(n) if keys is None else keys
+        targets = np.empty((n, 0)) if targets is None else targets
+        if len(targets) != n:
+            raise ValueError(f"{len(targets)} targets rows for {n} images")
+        checked = [self._check_image(image) for image in images]
         # the first position that holds each position's input
-        seen: dict[Hashable, int] = {}
-        first = [seen.setdefault(key, i) for i, key in enumerate(keys)]
+        seen: dict[tuple[bytes, bytes], int] = {}
+        first = [
+            seen.setdefault((x.tobytes(), row.tobytes()), i)
+            for i, (x, row) in enumerate(zip(checked, targets))
+        ]
         distinct = np.array(list(seen.values()), dtype=np.intp)
         masks = self._head_masks(dropout_seed)
         terms = np.zeros(n)
-        rows = np.zeros((n, self.param_count))
+        grads = np.zeros((n, self.param_count))
         for lo in range(0, len(distinct), self.chunk):
             at = distinct[lo : lo + self.chunk]
-            stack = np.stack([self._check_image(images[i]) for i in at])
-            cache = self._forward_cache(params, stack, masks)
-            at_terms, dlogits_p, dlogits_a = head_terms(at, cache)
+            cache = self._forward_cache(params, np.stack([checked[i] for i in at]), masks)
+            at_terms, dlogits_p, dlogits_a = head_terms(targets[at], cache)
             terms[at] = at_terms
-            rows[at] = self._backward(params, cache, dlogits_p, dlogits_a, masks)
+            grads[at] = self._backward(cache, dlogits_p, dlogits_a)
         total = 0.0
         grad = np.zeros(self.param_count)
         for i in first:
             total += terms[i]
-            grad += rows[i]
+            grad += grads[i]
         return float(total), grad
 
     def loss_and_grad(
@@ -393,8 +393,7 @@ class TwoHeadModel:
         flats = np.stack([self._check_labels(labels).reshape(-1) for _, labels in batch])
         hot = flats[..., None] == np.arange(self.config.classes)  # (n, H*W, C) one-hot
 
-        def head_terms(at: np.ndarray, cache: _ForwardCache) -> tuple[np.ndarray, ...]:
-            onehot = hot[at]
+        def head_terms(onehot: np.ndarray, cache: _ForwardCache) -> tuple[np.ndarray, ...]:
             m = len(onehot)
             ce_p, ce_a = (
                 -(shifted[onehot].reshape(m, -1) - np.log(norm)).mean(axis=-1)
@@ -408,9 +407,7 @@ class TwoHeadModel:
             return (ce_p + lam * ce_a) / n, dlogits_p, dlogits_a
 
         images = [image for image, _ in batch]
-        # an image drawn twice with the same labels is computed once
-        keys = [(self.image_key(image), flat.tobytes()) for image, flat in zip(images, flats)]
-        return self.value_and_grad(params, images, head_terms, dropout_seed, keys)
+        return self.value_and_grad(params, images, head_terms, dropout_seed, hot)
 
     def grad_step(
         self,

@@ -9,8 +9,8 @@ callback on ``TwoHeadModel.value_and_grad``, the model's one forward/backward
 loop: for each stack of images they give the per-image loss terms and the
 primary head's dloss/dlogits from an eval-mode forward (the aux head gets
 none), and like that loop they raise ``DivergenceError`` on non-finite
-parameters. They key the loop on image content, so an image the sampler
-drew twice into one batch is forwarded once.
+parameters. Their terms read only the cache, so they pass no ``targets``:
+an image the sampler drew twice into one batch is forwarded once.
 """
 
 from __future__ import annotations
@@ -46,14 +46,13 @@ def entropy_min_regularizer(model: TwoHeadModel, weight: float) -> RegularizerHo
     def hook(params: np.ndarray, images: Sequence[np.ndarray]) -> tuple[float, np.ndarray]:
         n = len(images)
 
-        def head_terms(at: np.ndarray, cache) -> tuple[np.ndarray, np.ndarray, None]:
+        def head_terms(_, cache) -> tuple[np.ndarray, np.ndarray, None]:
             h = entropy(cache.probs_p)  # (m, H*W)
             logp = np.log(np.maximum(cache.probs_p, 1e-12))
             dlogits_p = -weight * cache.probs_p * (logp + h[..., None]) / (n_pix * n)
             return weight * np.mean(h, axis=-1) / n, dlogits_p, None
 
-        keys = [model.image_key(image) for image in images]
-        return model.value_and_grad(params, images, head_terms, keys=keys)
+        return model.value_and_grad(params, images, head_terms)
 
     return hook
 
@@ -72,7 +71,7 @@ def self_training_regularizer(model: TwoHeadModel, weight: float) -> Regularizer
     def hook(params: np.ndarray, images: Sequence[np.ndarray]) -> tuple[float, np.ndarray]:
         n = len(images)
 
-        def head_terms(at: np.ndarray, cache) -> tuple[np.ndarray, np.ndarray, None]:
+        def head_terms(_, cache) -> tuple[np.ndarray, np.ndarray, None]:
             fused = cache.probs_p + cache.probs_a
             labels = np.argmax(fused, axis=-1)  # (m, H*W)
             onehot = labels[..., None] == np.arange(fused.shape[-1])
@@ -81,8 +80,7 @@ def self_training_regularizer(model: TwoHeadModel, weight: float) -> Regularizer
             dlogits_p = weight * (cache.probs_p - onehot) / (n_pix * n)
             return term, dlogits_p, None
 
-        keys = [model.image_key(image) for image in images]
-        return model.value_and_grad(params, images, head_terms, keys=keys)
+        return model.value_and_grad(params, images, head_terms)
 
     return hook
 

@@ -74,13 +74,19 @@ def random_labels(rng: np.random.Generator, cfg: ModelConfig) -> np.ndarray:
 
 
 def per_position(monkeypatch) -> None:
-    """Make ``TwoHeadModel.value_and_grad`` drop its ``keys``, so every batch
-    position is forwarded and back-propagated on its own: the reference loop
-    whose bits a call that merges equal inputs must give."""
+    """Make ``TwoHeadModel.value_and_grad`` run one call per batch position
+    and sum the calls in order, so no two positions are ever merged: the
+    reference loop whose bits a call that merges equal inputs must give."""
     value_and_grad = TwoHeadModel.value_and_grad
 
-    def every_position(model, params, images, head_terms, dropout_seed=None, keys=None):
-        return value_and_grad(model, params, images, head_terms, dropout_seed)
+    def every_position(model, params, images, head_terms, dropout_seed=None, targets=None):
+        total, grad = 0.0, np.zeros(model.param_count)
+        for i, image in enumerate(images):
+            rows = None if targets is None else targets[i : i + 1]
+            term, row = value_and_grad(model, params, [image], head_terms, dropout_seed, rows)
+            total += term
+            grad += row
+        return total, grad
 
     monkeypatch.setattr(TwoHeadModel, "value_and_grad", every_position)
 

@@ -167,6 +167,27 @@ class TestRun:
         assert named in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"epochs": 2.5},
+            {"batch_size": 2.0},
+            {"shift": {"height": 8.0}},
+            {"horizontal_flip": "no"},
+            {"epochs": True},
+        ],
+        ids=["non-integer", "integral-float", "shift-section", "string-for-bool", "bool-for-int"],
+    )
+    def test_value_of_the_wrong_type_exits_2(self, tmp_path, config_path, capsys, change):
+        cfg = json.loads(Path(config_path).read_text())
+        shift = {**cfg["shift"], **change.pop("shift", {})}
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps({**cfg, **change, "shift": shift}))
+        out = tmp_path / "results"
+        assert cli_main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert "is not of type" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_seed_is_config_error(self, tmp_path, config_path, capsys):
         rc = cli_main(["run", "--config", config_path, "--seed", "-1", "--out", str(tmp_path)])
         assert rc == EXIT_CONFIG
@@ -182,6 +203,19 @@ class TestRun:
             ["run", "--config", config_path, "--data", str(data_dir), "--out", "o"]
         )
         assert rc == EXIT_IO
+
+    def test_manifest_shape_of_another_config_exits_4(self, tmp_path, config_path, capsys):
+        # the fixture's 6 source images of 8 x 8 x 3 have the size of 6 x 8 x 24 x 1
+        data_dir = tmp_path / "data"
+        assert cli_main(["gen-data", "--config", config_path, "--out", str(data_dir)]) == EXIT_OK
+        manifest = json.loads((data_dir / "manifest.json").read_text())
+        manifest["arrays"]["source_images"]["shape"] = [6, 8, 24, 1]
+        (data_dir / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "results"
+        argv = ["run", "--config", config_path, "--data", str(data_dir), "--out", str(out)]
+        assert cli_main(argv) == EXIT_IO
+        assert "has shape (6, 8, 24, 1), its config makes (6, 8, 8, 3)" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestInspect:

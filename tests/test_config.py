@@ -1,6 +1,7 @@
 """Config schema: strict keys, validation, presets, echo round-trip."""
 
 import json
+import re
 
 import pytest
 
@@ -95,6 +96,34 @@ class TestJSON:
         path.write_text("[1,2]")
         with pytest.raises(ConfigError):
             load_experiment_config(str(path))
+
+    @pytest.mark.parametrize(
+        "raw, named",
+        [
+            ({"epochs": 2.5}, "epochs=2.5 is not of type int"),
+            ({"batch_size": 2.0}, "batch_size=2.0 is not of type int"),
+            ({"epochs": True}, "epochs=True is not of type int"),
+            ({"lr0": False}, "lr0=False is not of type float"),
+            ({"lr0": "0.2"}, "lr0='0.2' is not of type float"),
+            ({"horizontal_flip": "no"}, "horizontal_flip='no' is not of type bool"),
+            ({"horizontal_flip": 1}, "horizontal_flip=1 is not of type bool"),
+            ({"sampler": None}, "sampler=None is not of type str"),
+            ({"out_dir": 3}, "out_dir=3 is not of type str | None"),
+            ({"model": {"hidden1": 4.0}}, "model config value hidden1=4.0"),
+            ({"shift": {"height": 8.0}}, "shift config value height=8.0 is not of type int"),
+            ({"shift": {"feature_mean_shift": [0.3, "0", 0.0]}}, "feature_mean_shift="),
+            ({"shift": {"feature_mean_shift": 0.3}}, "feature_mean_shift=0.3"),
+        ],
+    )
+    def test_value_of_the_wrong_type_rejected(self, raw, named):
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            experiment_config_from_dict(raw)
+
+    def test_int_for_a_float_field_kept_as_given(self):
+        # so a config that writes 1 for a float keeps its echo bytes
+        cfg = experiment_config_from_dict({"lr0": 1, "regularizer_weight": 0, "out_dir": None})
+        assert type(cfg.lr0) is int and cfg.lr0 == 1
+        assert json.dumps(experiment_config_to_dict(cfg)["lr0"]) == "1"
 
     def test_echo_round_trips(self):
         cfg = small_experiment_config(hidden1=5, dropout_rate=0.1)

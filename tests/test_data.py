@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -201,6 +202,29 @@ class TestExportImport:
         manifest["arrays"]["target_images"]["sha256"] = hashlib.sha256(blob.tobytes()).hexdigest()
         (out / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(FormatError, match="non-finite"):
+            import_domain_pair(str(out))
+
+    @pytest.mark.parametrize(
+        "name, shape",
+        [
+            ("source_images", [4, 8, 24, 1]),
+            ("source_labels", [4, 64]),
+            ("target_images", [5, 8, 3, 8]),
+            ("target_labels_heldout", [5, 8, 8, 1]),
+        ],
+    )
+    def test_manifest_shape_of_another_config_rejected(self, tmp_path, name, shape):
+        # each edited shape holds as many values as the file, and the file
+        # still matches its sha256
+        cfg = small_shift_config(source_count=4, target_count=5)
+        out = tmp_path / "data"
+        export_domain_pair(generate_domain_pair(cfg), str(out))
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert np.prod(manifest["arrays"][name]["shape"]) == np.prod(shape)
+        manifest["arrays"][name]["shape"] = shape
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        named = re.escape(f"array {name!r} has shape {tuple(shape)}")
+        with pytest.raises(FormatError, match=named):
             import_domain_pair(str(out))
 
     def test_truncated_array_file(self, tmp_path):

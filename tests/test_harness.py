@@ -336,6 +336,33 @@ class TestDeterminism:
             got = (tmp_path / "merged" / name).read_bytes()
             assert got == (tmp_path / "per-position" / name).read_bytes(), name
 
+    def test_each_training_call_forwards_each_distinct_draw_once(self, monkeypatch):
+        # batches of 8 drawn unflipped from 4 source and 4 target images
+        # hold at most 4 distinct inputs, and a training call forwards no more
+        cfg = small_experiment_config(
+            epochs=2,
+            iters_per_epoch=3,
+            batch_size=8,
+            eval_last_k=1,
+            horizontal_flip=False,
+            shift=small_shift_config(source_count=4, target_count=4),
+        )
+        forwarded = forwarded_images(monkeypatch)
+        calls = []
+        value_and_grad = TwoHeadModel.value_and_grad
+
+        def counting(model, params, images, *args, **kwargs):
+            before = len(forwarded)
+            result = value_and_grad(model, params, images, *args, **kwargs)
+            calls.append((len(images), len(forwarded) - before))
+            return result
+
+        monkeypatch.setattr(TwoHeadModel, "value_and_grad", counting)
+        run_experiment(cfg)
+        # warm-up: 3 source steps; each of 2 epochs: 3 source steps, 3 hooks
+        assert len(calls) == 15
+        assert all(positions == 8 and 1 <= images <= 4 for positions, images in calls)
+
 
 class TestDivergenceHandling:
     @staticmethod

@@ -188,16 +188,19 @@ class TestForward:
         np.testing.assert_array_equal(a1, a2)
 
     def test_dropout_seed_reproducible_and_varying(self):
+        # train mode runs only through value_and_grad: a seed's head masks
+        # repeat, and other seeds draw other masks
         cfg = small_model_config(dropout_rate=0.5)
         model = TwoHeadModel(cfg)
         rng = np.random.default_rng(3)
         params = model.init_params(0)
-        image = random_image(rng, cfg)
-        p1, _ = model.forward(params, image, dropout_seed=11)
-        p2, _ = model.forward(params, image, dropout_seed=11)
-        np.testing.assert_array_equal(p1, p2)
-        outs = {model.forward(params, image, dropout_seed=s)[0].tobytes() for s in range(8)}
-        assert len(outs) > 1
+        batch = [(random_image(rng, cfg), random_labels(rng, cfg))]
+        loss1, grad1 = model.loss_and_grad(params, batch, dropout_seed=11)
+        loss2, grad2 = model.loss_and_grad(params, batch, dropout_seed=11)
+        assert loss1 == loss2 and same_bits(grad1, grad2)
+        losses = {model.loss_and_grad(params, batch, dropout_seed=s)[0] for s in range(8)}
+        assert len(losses) > 1
+        assert model.loss_and_grad(params, batch)[0] not in losses
 
     def test_shape_mismatch_rejected(self):
         cfg = small_model_config()
@@ -262,10 +265,10 @@ class TestLoss:
             labels = rng.integers(0, classes, (n, size * size))
             batch = [(image, flat.reshape(size, size)) for image, flat in zip(images, labels)]
 
-            def oracle_terms(at, cache):
+            def oracle_terms(rows, cache):
                 assert same_bits(cache.probs_p, softmax(cache.logits_p))
                 assert same_bits(cache.probs_a, softmax(cache.logits_a))
-                picks = labels[at][..., None]
+                picks = rows[..., None]
                 ce_p, ce_a = (
                     -np.take_along_axis(log_softmax(logits), picks, -1)[..., 0].mean(axis=-1)
                     for logits in (cache.logits_p, cache.logits_a)
@@ -273,7 +276,7 @@ class TestLoss:
                 return (ce_p + lam * ce_a) / n, np.zeros_like(cache.logits_p), None
 
             for dropout_seed in (None, 6):
-                want, _ = model.value_and_grad(params, images, oracle_terms, dropout_seed)
+                want, _ = model.value_and_grad(params, images, oracle_terms, dropout_seed, labels)
                 assert model.loss_and_grad(params, batch, dropout_seed)[0] == want
 
     def test_source_loss_matches_per_pixel_summation(self):
@@ -363,8 +366,7 @@ class TestGradient:
         images = [random_image(rng, cfg) for _ in range(2)]
         coef = rng.normal(size=(len(images), 2, n_pix, cfg.classes))
 
-        def head_terms(at, cache):
-            c = coef[at]
+        def head_terms(c, cache):
             terms = np.sum(c[:, 0] * cache.logits_p, axis=(1, 2)) + np.sum(
                 c[:, 1] * cache.logits_a, axis=(1, 2)
             )
@@ -372,9 +374,9 @@ class TestGradient:
 
         for dropout_seed in (None, 3):
             params = model.init_params(int(rng.integers(10_000)))
-            _, grad = model.value_and_grad(params, images, head_terms, dropout_seed)
+            _, grad = model.value_and_grad(params, images, head_terms, dropout_seed, coef)
             fd = finite_difference_gradient(
-                lambda p: model.value_and_grad(p, images, head_terms, dropout_seed)[0],
+                lambda p: model.value_and_grad(p, images, head_terms, dropout_seed, coef)[0],
                 params,
                 eps=1e-5,
             )
@@ -395,17 +397,16 @@ class TestGradient:
         labels = list(rng.integers(0, cfg.classes, (n, cfg.height, cfg.width)))
         coef = rng.normal(size=(n, 2, cfg.height * cfg.width, cfg.classes))
 
-        def linear(at, cache):
-            c = coef[at]
+        def linear(c, cache):
             terms = np.sum(c[:, 0] * cache.logits_p, axis=(1, 2))
             return terms, c[:, 0], c[:, 1]
 
         for dropout_seed in (None, 4):
-            total, grad = model.value_and_grad(params, images, linear, dropout_seed)
+            total, grad = model.value_and_grad(params, images, linear, dropout_seed, coef)
             want_total, want_grad = 0.0, np.zeros(model.param_count)
             for i, image in enumerate(images):
                 term, g = model.value_and_grad(
-                    params, [image], lambda _, cache: linear([i], cache), dropout_seed
+                    params, [image], linear, dropout_seed, coef[i : i + 1]
                 )
                 want_total += term
                 want_grad += g
@@ -422,16 +423,16 @@ class TestGradient:
             assert got[0] == want[0] and same_bits(got[1], want[1])
 
         # an aux dlogits of None skips the aux head's backward, bit for bit
-        def no_aux(at, cache):
-            terms, dlogits_p, _ = linear(at, cache)
+        def no_aux(c, cache):
+            terms, dlogits_p, _ = linear(c, cache)
             return terms, dlogits_p, None
 
-        def zero_aux(at, cache):
-            terms, dlogits_p, dlogits_a = linear(at, cache)
+        def zero_aux(c, cache):
+            terms, dlogits_p, dlogits_a = linear(c, cache)
             return terms, dlogits_p, np.zeros_like(dlogits_a)
 
-        skipped = model.value_and_grad(params, images, no_aux)
-        zeros = model.value_and_grad(params, images, zero_aux)
+        skipped = model.value_and_grad(params, images, no_aux, targets=coef)
+        zeros = model.value_and_grad(params, images, zero_aux, targets=coef)
         assert skipped[0] == zeros[0] and same_bits(skipped[1], zeros[1])
 
     def test_only_model_runs_the_forward_backward_loop(self):
@@ -527,36 +528,34 @@ class TestRepeatedInputs:
         want = model.loss_and_grad(params, batch)
         assert got[0] == want[0] and same_bits(got[1], want[1])
 
-    def test_without_keys_no_positions_merge(self, monkeypatch):
-        # head terms that read per-position data see every position, even
-        # where the images repeat
+    def test_equal_images_with_other_targets_rows_are_not_merged(self, monkeypatch):
+        # head terms read per-position data only through their targets
+        # rows, so equal images under different rows are separate inputs,
+        # while equal images under equal rows merge
         cfg = small_model_config()
         model = TwoHeadModel(cfg)
         rng = np.random.default_rng(34)
         params = model.init_params(7)
         image = random_image(rng, cfg)
-        n = 5
-        coef = rng.normal(size=(n, cfg.height * cfg.width, cfg.classes))
-        positions = []
+        coef = rng.normal(size=(3, cfg.height * cfg.width, cfg.classes))[[0, 1, 0, 2, 1]]
+        seen_rows = []
 
-        def linear(at, cache):
-            positions.extend(at)
-            return np.sum(coef[at] * cache.logits_p, axis=(1, 2)), coef[at], None
+        def linear(c, cache):
+            seen_rows.extend(row.tobytes() for row in c)
+            return np.sum(c * cache.logits_p, axis=(1, 2)), c, None
 
         forwarded = forwarded_images(monkeypatch)
-        total, _ = model.value_and_grad(params, [image] * n, linear)
-        assert positions == list(range(n)) and len(forwarded) == n
-        want = 0.0
-        for i in range(n):
-            at = np.array([i])
-            want += model.value_and_grad(params, [image], lambda _, cache: linear(at, cache))[0]
-        assert total == want
+        total, grad = model.value_and_grad(params, [image] * 5, linear, targets=coef)
+        assert seen_rows == [coef[i].tobytes() for i in (0, 1, 3)] and len(forwarded) == 3
+        per_position(monkeypatch)
+        want = model.value_and_grad(params, [image] * 5, linear, targets=coef)
+        assert total == want[0] and same_bits(grad, want[1])
 
-    def test_keys_must_match_images(self):
+    def test_targets_must_match_images(self):
         model = TwoHeadModel(small_model_config())
         image = random_image(np.random.default_rng(35), model.config)
-        with pytest.raises(ValueError, match="1 keys for 2 images"):
-            model.value_and_grad(model.init_params(0), [image] * 2, None, keys=["a"])
+        with pytest.raises(ValueError, match="1 targets rows for 2 images"):
+            model.value_and_grad(model.init_params(0), [image] * 2, None, targets=np.zeros((1, 3)))
 
 
 class TestGradStep:

@@ -8,10 +8,11 @@ give the same output, so a byte-identity check is one ``diff``:
 
     PYTHONPATH=src python3 tools/artifact_digests.py --seed 1 > digests.txt
 
-Each preset also runs once as ``repeats``: self-training, batches of 8
-drawn from 16 source and 16 target images at 16x16 with ``horizontal_flip``
-on, 4 epochs of 5 iterations, so batches hold repeated and flipped draws,
-which training computes once per distinct input.
+Each preset also runs as ``repeats-<regularizer>`` under each hook that
+forwards the target batch (``entropy-min`` and ``self-training``): batches
+of 8 drawn from 16 source and 16 target images at 16x16 with
+``horizontal_flip`` on, 4 epochs of 5 iterations, so batches hold repeated
+and flipped draws, which training computes once per distinct input.
 
 Each preset also runs four forced divergences, so the state a diverging
 run persists is hashed too: a regularizer hook returning a NaN loss at
@@ -105,12 +106,12 @@ def run(cfg: ExperimentConfig, root: str, variant: str, name: str) -> None:
         print(f"{variant}/{name} diverged: {exc}", file=sys.stderr)
 
 
-def repeats(cfg: ExperimentConfig) -> ExperimentConfig:
-    """``cfg`` with batches of 8 from 16 + 16 images, some drawn flipped, so
-    most batches repeat an input."""
+def repeats(cfg: ExperimentConfig, regularizer: str) -> ExperimentConfig:
+    """``cfg`` under ``regularizer`` with batches of 8 from 16 + 16 images,
+    some drawn flipped, so most batches repeat an input."""
     return replace(
         cfg,
-        regularizer="self-training",
+        regularizer=regularizer,
         epochs=4,
         iters_per_epoch=5,
         warmup_epochs=1,
@@ -149,7 +150,8 @@ def main(argv: list[str] | None = None) -> int:
             cfg = apply_variant(base, variant)
             for regularizer in REGULARIZERS:
                 run(replace(cfg, regularizer=regularizer), tmp, variant, regularizer)
-            run(repeats(cfg), tmp, variant, "repeats")
+            for regularizer in ("entropy-min", "self-training"):
+                run(repeats(cfg, regularizer), tmp, variant, f"repeats-{regularizer}")
             for epoch in (1, 2):
                 call = (epoch - 1) * cfg.iters_per_epoch + 3
                 with regularized_by(nan_at(call)):
