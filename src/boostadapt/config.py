@@ -149,10 +149,18 @@ def _is_a(value: Any, hint: Any) -> bool:
     return isinstance(value, kinds) and (hint is bool or not isinstance(value, bool))
 
 
+def _is_finite(value: Any) -> bool:
+    """False for a NaN or infinite float, also inside a list; ``json.load``
+    reads ``NaN``, ``Infinity`` and ``-Infinity``."""
+    if isinstance(value, list):
+        return all(map(_is_finite, value))
+    return not isinstance(value, float) or math.isfinite(value)
+
+
 def _check_section(given: Any, allowed: tuple[str, ...], cls: type, where: str) -> dict:
     """``given``, checked to be a JSON object with keys in ``allowed`` whose
     values (other than the nested sections) have JSON types that fit their
-    fields of ``cls``."""
+    fields of ``cls`` and are finite."""
     if not isinstance(given, dict):
         raise ConfigError(f"{where} config must be a JSON object")
     unknown = sorted(set(given) - set(allowed))
@@ -163,6 +171,8 @@ def _check_section(given: Any, allowed: tuple[str, ...], cls: type, where: str) 
         if name not in _SECTIONS and not _is_a(value, hints[name]):
             kind = hints[name].__name__ if isinstance(hints[name], type) else hints[name]
             raise ConfigError(f"{where} config value {name}={value!r} is not of type {kind}")
+        if not _is_finite(value):
+            raise ConfigError(f"{where} config value {name}={value!r} is not finite")
     return given
 
 

@@ -74,25 +74,23 @@ def _im2col(grid: np.ndarray, radius: int) -> np.ndarray:
     return view.reshape(*lead, h * w, k * k * d)
 
 
-def _col2im(blocks: np.ndarray, h: int, w: int, d: int, radius: int) -> np.ndarray:
-    """Scatter-add adjoint of ``_im2col``, taking the columns k x k-first:
-    (k, k, ..., H*W, D) -> (..., H, W, D); leading axes are carried through.
-    Each add reads one contiguous (dy, dx) block, and every cell gets its
-    adds in (dy, dx) order."""
+def _conv_input_grad(dout: np.ndarray, weight: np.ndarray, radius: int) -> np.ndarray:
+    """Gradient with respect to ``grid`` of ``_im2col(grid, radius) @ weight``,
+    given its gradient ``dout``: (..., H, W, D_out) -> (..., H*W, D). It is
+    the convolution of ``dout`` with ``weight`` rotated 180 degrees, its
+    channels swapped, so the forward's gather and one gemm per image; each
+    entry is one k*k*D_out-term dot product."""
     k = 2 * radius + 1
-    lead = blocks.shape[2:-2]
-    if radius == 0:
-        return blocks[0, 0].reshape(*lead, h, w, d)
-    padded = np.zeros((*lead, h + 2 * radius, w + 2 * radius, d))
-    for dy in range(k):
-        for dx in range(k):
-            padded[..., dy : dy + h, dx : dx + w, :] += blocks[dy, dx].reshape(*lead, h, w, d)
-    return padded[..., radius : radius + h, radius : radius + w, :]
+    d_out = weight.shape[-1]
+    rotated = weight.reshape(k, k, -1, d_out)[::-1, ::-1].transpose(0, 1, 3, 2)
+    return _im2col(dout, radius) @ rotated.reshape(k * k * d_out, -1)
 
 
 # Budget for the stage-2 im2col columns of one chunk of images, in training
 # and in eval mode: with the chunk's other activations it stays inside a
-# 2 MiB L2 cache.
+# 2 MiB L2 cache. A training backward holds a second column buffer, the
+# gather of the stage-2 gradient, beside the cached columns; at 16x16 stacks
+# of 7 to 14 images that showed no cache cliff.
 CHUNK_BYTES = 1 << 20
 
 
@@ -106,8 +104,6 @@ class _ForwardCache:
     head_in_p: np.ndarray
     probs_a: np.ndarray
     probs_p: np.ndarray
-    logits_a: np.ndarray
-    logits_p: np.ndarray
     # each head's softmax intermediates: the max-shifted logits and the
     # per-pixel normalizer, from which the training loss takes log-softmax
     shifted_a: np.ndarray
@@ -125,10 +121,8 @@ class TwoHeadModel:
     def __init__(self, config: ModelConfig) -> None:
         self.config = config
         c = config
-        self.k1 = 2 * c.r_aux + 1
-        self.k2 = 2 * c.r_primary + 1
-        in1 = self.k1 * self.k1 * c.features
-        in2 = self.k2 * self.k2 * c.hidden1
+        in1 = (2 * c.r_aux + 1) ** 2 * c.features
+        in2 = (2 * c.r_primary + 1) ** 2 * c.hidden1
         # (name, shape, fan_in) in flat-layout order
         self._sections = [
             ("w1", (in1, c.hidden1), in1),
@@ -222,8 +216,6 @@ class TwoHeadModel:
             head_in_p=head_in_p,
             probs_a=probs_a,
             probs_p=probs_p,
-            logits_a=logits_a,
-            logits_p=logits_p,
             shifted_a=shifted_a,
             shifted_p=shifted_p,
             norm_a=norm_a,
@@ -256,14 +248,9 @@ class TwoHeadModel:
         d_pre2 = d_act2 * (1.0 - cache.act2**2)
         g_w2 = np.swapaxes(cache.patches2, -1, -2) @ d_pre2
         g_b2 = d_pre2.sum(axis=-2)
-        # the column gradient d_pre2 @ w2.T, computed straight into the
-        # k x k-first (k, k, m, H*W, D1) blocks ``_col2im`` reads: the same
-        # D2-term dot products, one gemm per (offset, image)
-        k = self.k2
-        w2_blocks = np.swapaxes(w2.reshape(k, k, 1, c.hidden1, c.hidden2), -1, -2)
-        d_act1 = _col2im(
-            d_pre2 @ w2_blocks, c.height, c.width, c.hidden1, c.r_primary
-        ).reshape(m, -1, c.hidden1)
+        d_act1 = _conv_input_grad(
+            d_pre2.reshape(m, c.height, c.width, c.hidden2), w2, c.r_primary
+        )
         if dlogits_a is None:
             g_wa = np.zeros((m, *wa.shape))
             g_ba = np.zeros((m, *ba.shape))

@@ -188,6 +188,17 @@ class TestRun:
         assert "is not of type" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", ["NaN", "Infinity"])
+    def test_non_finite_value_exits_2(self, tmp_path, config_path, capsys, text):
+        cfg = json.loads(Path(config_path).read_text())
+        path = tmp_path / "non-finite.json"
+        path.write_text(json.dumps(cfg)[:-1] + f', "softmax_temperature": {text}}}')
+        out = tmp_path / "results"
+        assert cli_main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "softmax_temperature=" in err and "is not finite" in err
+        assert not out.exists()
+
     def test_negative_seed_is_config_error(self, tmp_path, config_path, capsys):
         rc = cli_main(["run", "--config", config_path, "--seed", "-1", "--out", str(tmp_path)])
         assert rc == EXIT_CONFIG

@@ -1,6 +1,7 @@
 """Config schema: strict keys, validation, presets, echo round-trip."""
 
 import json
+import math
 import re
 
 import pytest
@@ -118,6 +119,25 @@ class TestJSON:
     def test_value_of_the_wrong_type_rejected(self, raw, named):
         with pytest.raises(ConfigError, match=re.escape(named)):
             experiment_config_from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "raw, named",
+        [
+            ({"softmax_temperature": math.nan}, "top-level config value softmax_temperature=nan"),
+            ({"lr0": math.inf}, "top-level config value lr0=inf"),
+            ({"model": {"hidden1": math.nan}}, "model config value hidden1=nan"),
+            ({"shift": {"feature_noise_std": math.nan}}, "shift config value feature_noise_std=nan"),
+            ({"shift": {"feature_mean_shift": [0.3, math.inf, 0.0]}}, "feature_mean_shift=[0.3, inf"),
+        ],
+    )
+    def test_non_finite_number_rejected(self, tmp_path, raw, named):
+        # json.load reads NaN, Infinity and -Infinity; a config file holding
+        # one is a config error, not a failed or diverged run
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(raw))
+        for load in (lambda: experiment_config_from_dict(raw), lambda: load_experiment_config(path)):
+            with pytest.raises(ConfigError, match=re.escape(named)):
+                load()
 
     def test_int_for_a_float_field_kept_as_given(self):
         # so a config that writes 1 for a float keeps its echo bytes

@@ -11,7 +11,7 @@ from boostadapt.errors import DivergenceError
 from boostadapt.model import (
     ModelConfig,
     TwoHeadModel,
-    _col2im,
+    _conv_input_grad,
     _im2col,
     fuse_predictions,
     poly_lr,
@@ -59,11 +59,11 @@ def loop_col2im(cols, h, w, d, radius):
     return padded[..., radius : radius + h, radius : radius + w, :]
 
 
-def kk_first(cols, radius):
-    """(..., H*W, k*k*D) columns -> the (k, k, ..., H*W, D) blocks ``_col2im`` takes."""
-    k = 2 * radius + 1
-    blocks = cols.reshape(*cols.shape[:-1], k, k, cols.shape[-1] // (k * k))
-    return np.moveaxis(blocks, (-3, -2), (0, 1))
+def head_logits(cache):
+    """(primary, aux) logits of a cached stack, from its head inputs and the
+    weights it was forwarded with, as the forward computes them."""
+    wa, ba, wp, bp = cache.weights[4:]
+    return cache.head_in_p @ wp + bp, cache.head_in_a @ wa + ba
 
 
 def same_bits(got, want):
@@ -107,37 +107,40 @@ class TestConfig:
 
 
 class TestPatches:
-    def test_col2im_is_adjoint_of_im2col(self):
-        # <im2col(x), y> == <x, col2im(y)> for random x, y: the scatter-add
-        # backward is exactly the transpose of the gather forward
+    def test_conv_input_grad_is_adjoint_of_the_stage_map(self):
+        # <im2col(x) @ W, g> == <x, conv_input_grad(g, W)> for random x, W, g:
+        # the rotated-kernel backward is exactly the transpose of the
+        # gather-then-gemm forward
         rng = np.random.default_rng(0)
         for lead in ((), (2, 3)):
-            for radius in (0, 1, 2):
-                h, w, d = 5, 4, 3
+            for radius in (1, 2):
+                h, w, d1, d2 = 5, 4, 3, 2
                 k = 2 * radius + 1
-                x = rng.normal(0, 1, (*lead, h, w, d))
-                y = rng.normal(0, 1, (*lead, h * w, k * k * d))
-                lhs = float((_im2col(x, radius) * y).sum())
-                rhs = float((x * _col2im(kk_first(y, radius), h, w, d, radius)).sum())
+                x = rng.normal(0, 1, (*lead, h, w, d1))
+                weight = rng.normal(0, 1, (k * k * d1, d2))
+                g = rng.normal(0, 1, (*lead, h, w, d2))
+                lhs = float(((_im2col(x, radius) @ weight) * g.reshape(*lead, h * w, d2)).sum())
+                dx = _conv_input_grad(g, weight, radius)
+                rhs = float((x.reshape(*lead, h * w, d1) * dx).sum())
                 np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
     @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
     @pytest.mark.parametrize("radius", [0, 1, 2])
     def test_kernels_equal_loop_reference(self, lead, radius):
-        # the strided-view gather and the k x k-first scatter-add give the
-        # loops' bits, signs of zeros included, on non-square grids
+        # the strided-view gather gives the loop's bits, signs of zeros
+        # included, on non-square grids; the input gradient sums in another
+        # order than the scatter-add of g @ W.T, so it agrees to a tolerance
         rng = np.random.default_rng(31 + radius)
         k = 2 * radius + 1
         for h, w, d in ((5, 7, 3), (4, 3, 8), (1, 1, 2)):
             x = rng.normal(0, 1, (*lead, h, w, d))
             x[x < -0.5] = -0.0
-            y = rng.normal(0, 1, (*lead, h * w, k * k * d))
-            y[y < -0.5] = -0.0
-            y[..., ::5] *= 1e-17  # small addends make the add order show
             assert same_bits(_im2col(x, radius), loop_im2col(x, radius))
-            assert same_bits(
-                _col2im(kk_first(y, radius), h, w, d, radius), loop_col2im(y, h, w, d, radius)
-            )
+            weight = rng.normal(0, 1, (k * k * d, d + 2))
+            g = rng.normal(0, 1, (*lead, h, w, d + 2))
+            want = loop_col2im(g.reshape(*lead, h * w, d + 2) @ weight.T, h, w, d, radius)
+            got = _conv_input_grad(g, weight, radius).reshape(*lead, h, w, d)
+            np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_zero_padding_at_border(self):
         x = np.ones((2, 2, 1))
@@ -266,14 +269,15 @@ class TestLoss:
             batch = [(image, flat.reshape(size, size)) for image, flat in zip(images, labels)]
 
             def oracle_terms(rows, cache):
-                assert same_bits(cache.probs_p, softmax(cache.logits_p))
-                assert same_bits(cache.probs_a, softmax(cache.logits_a))
+                logits_p, logits_a = head_logits(cache)
+                assert same_bits(cache.probs_p, softmax(logits_p))
+                assert same_bits(cache.probs_a, softmax(logits_a))
                 picks = rows[..., None]
                 ce_p, ce_a = (
                     -np.take_along_axis(log_softmax(logits), picks, -1)[..., 0].mean(axis=-1)
-                    for logits in (cache.logits_p, cache.logits_a)
+                    for logits in (logits_p, logits_a)
                 )
-                return (ce_p + lam * ce_a) / n, np.zeros_like(cache.logits_p), None
+                return (ce_p + lam * ce_a) / n, np.zeros_like(logits_p), None
 
             for dropout_seed in (None, 6):
                 want, _ = model.value_and_grad(params, images, oracle_terms, dropout_seed, labels)
@@ -355,6 +359,22 @@ class TestGradient:
         for _ in range(3):
             self._check(cfg, rng, dropout_seed=None)
 
+    def test_matches_finite_differences_at_primary_radius_2(self):
+        # a 5x5 stage-2 kernel with hidden1 != hidden2 on a non-square grid:
+        # a wrong rotation or channel swap of the stage-2 kernel in the
+        # backward shows in the training loss and in both hooks
+        rng = np.random.default_rng(12)
+        cfg = small_model_config(height=5, width=7, hidden1=5, hidden2=3, r_aux=1, r_primary=2)
+        self._check(cfg, rng, dropout_seed=3)
+        model = TwoHeadModel(cfg)
+        params = model.init_params(13)
+        images = [random_image(rng, cfg) for _ in range(2)]
+        for make in (entropy_min_regularizer, self_training_regularizer):
+            hook = make(model, 0.5)
+            _, grad = hook(params, images)
+            fd = finite_difference_gradient(lambda p: hook(p, images)[0], params, eps=1e-5)
+            assert max_rel_error(grad, fd) < 1e-4
+
     def test_value_and_grad_of_linear_head_terms(self):
         # a fixed random linear function of both heads' logits per image:
         # its dlogits are the coefficients, so value_and_grad's backward
@@ -367,8 +387,9 @@ class TestGradient:
         coef = rng.normal(size=(len(images), 2, n_pix, cfg.classes))
 
         def head_terms(c, cache):
-            terms = np.sum(c[:, 0] * cache.logits_p, axis=(1, 2)) + np.sum(
-                c[:, 1] * cache.logits_a, axis=(1, 2)
+            logits_p, logits_a = head_logits(cache)
+            terms = np.sum(c[:, 0] * logits_p, axis=(1, 2)) + np.sum(
+                c[:, 1] * logits_a, axis=(1, 2)
             )
             return terms, c[:, 0], c[:, 1]
 
@@ -398,7 +419,7 @@ class TestGradient:
         coef = rng.normal(size=(n, 2, cfg.height * cfg.width, cfg.classes))
 
         def linear(c, cache):
-            terms = np.sum(c[:, 0] * cache.logits_p, axis=(1, 2))
+            terms = np.sum(c[:, 0] * head_logits(cache)[0], axis=(1, 2))
             return terms, c[:, 0], c[:, 1]
 
         for dropout_seed in (None, 4):
@@ -542,7 +563,7 @@ class TestRepeatedInputs:
 
         def linear(c, cache):
             seen_rows.extend(row.tobytes() for row in c)
-            return np.sum(c * cache.logits_p, axis=(1, 2)), c, None
+            return np.sum(c * head_logits(cache)[0], axis=(1, 2)), c, None
 
         forwarded = forwarded_images(monkeypatch)
         total, grad = model.value_and_grad(params, [image] * 5, linear, targets=coef)
