@@ -164,7 +164,13 @@ class Aggregator:
                 # boosting weights degenerate when a snapshot is no better
                 # than chance; fall back to the plain mean
                 alphas = [1.0] * len(self.snapshots)
-            self.state = AggregateState(weighted_combine(self.snapshots, alphas), snap.epoch)
+            # one snapshot's normalized weight is 1, so the epoch-1 aggregate
+            # is the snapshot itself and keeps the student's lineage
+            self.state = (
+                init(snap)
+                if snap.epoch == 1
+                else AggregateState(weighted_combine(self.snapshots, alphas), snap.epoch)
+            )
         elif self.policy == "none":
             self.state = AggregateState(snap.params, snap.epoch)
         return self.state.mean_params

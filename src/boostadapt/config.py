@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import typing
 from dataclasses import dataclass, field
 from typing import Any
 
 from .data import GEOMETRIES, ShiftConfig
-from .errors import ConfigError
+from .errors import ConfigError, check_finite_fields, is_finite
 from .model import ModelConfig
 
 SAMPLERS = ("kl-variance", "entropy", "uniform")
@@ -76,6 +75,7 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self) -> None:
+        check_finite_fields(self, ConfigError)
         if self.epochs < 1 or self.iters_per_epoch < 1:
             raise ConfigError("epochs and iters_per_epoch must be >= 1")
         if self.batch_size < 1:
@@ -84,8 +84,8 @@ class ExperimentConfig:
             raise ConfigError("lr0 must be positive")
         if self.warmup_epochs < 0:
             raise ConfigError("warmup_epochs must be >= 0")
-        if not math.isfinite(self.lr_horizon_scale) or self.lr_horizon_scale < 1.0:
-            raise ConfigError("lr_horizon_scale must be finite and >= 1")
+        if self.lr_horizon_scale < 1.0:
+            raise ConfigError("lr_horizon_scale must be >= 1")
         if self.sampler not in SAMPLERS:
             raise ConfigError(f"unknown sampler {self.sampler!r}; known: {SAMPLERS}")
         if self.aggregation not in AGGREGATIONS:
@@ -149,18 +149,11 @@ def _is_a(value: Any, hint: Any) -> bool:
     return isinstance(value, kinds) and (hint is bool or not isinstance(value, bool))
 
 
-def _is_finite(value: Any) -> bool:
-    """False for a NaN or infinite float, also inside a list; ``json.load``
-    reads ``NaN``, ``Infinity`` and ``-Infinity``."""
-    if isinstance(value, list):
-        return all(map(_is_finite, value))
-    return not isinstance(value, float) or math.isfinite(value)
-
-
 def _check_section(given: Any, allowed: tuple[str, ...], cls: type, where: str) -> dict:
     """``given``, checked to be a JSON object with keys in ``allowed`` whose
     values (other than the nested sections) have JSON types that fit their
-    fields of ``cls`` and are finite."""
+    fields of ``cls`` and are finite: ``json.load`` reads ``NaN``,
+    ``Infinity`` and ``-Infinity``."""
     if not isinstance(given, dict):
         raise ConfigError(f"{where} config must be a JSON object")
     unknown = sorted(set(given) - set(allowed))
@@ -171,7 +164,7 @@ def _check_section(given: Any, allowed: tuple[str, ...], cls: type, where: str) 
         if name not in _SECTIONS and not _is_a(value, hints[name]):
             kind = hints[name].__name__ if isinstance(hints[name], type) else hints[name]
             raise ConfigError(f"{where} config value {name}={value!r} is not of type {kind}")
-        if not _is_finite(value):
+        if not is_finite(value):
             raise ConfigError(f"{where} config value {name}={value!r} is not finite")
     return given
 

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, check_finite_fields
 from .paramio import write_atomic
 from .rng import substream
 
@@ -49,6 +49,7 @@ class ShiftConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_finite_fields(self)
         if min(self.height, self.width, self.features) < 1:
             raise ValueError("height, width, features must be >= 1")
         if self.classes < 2:

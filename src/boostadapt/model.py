@@ -20,8 +20,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DivergenceError
-from .numerics import EPS, _fold_sum, softmax_parts
+from .errors import DivergenceError, check_finite_fields
+from .numerics import EPS, _fold_sum, _softmax_parts_in_place
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,7 @@ class ModelConfig:
     r_primary: int = 1
 
     def __post_init__(self) -> None:
+        check_finite_fields(self)
         if min(self.height, self.width, self.features) < 1:
             raise ValueError("height, width, features must be >= 1")
         if self.classes < 2:
@@ -62,16 +63,45 @@ def _im2col(grid: np.ndarray, radius: int) -> np.ndarray:
     k = 2 * radius + 1
     padded = np.zeros((*lead, h + 2 * radius, w + 2 * radius, d))
     padded[..., radius : radius + h, radius : radius + w, :] = grid
-    # (..., H, W, k, k*D) view: the k pixels of one neighborhood row are
-    # adjacent in the padded grid, so each row is one run of k*D floats
+    # (..., H, W, k, k*D) read-only view: the k pixels of one neighborhood
+    # row are adjacent in the padded grid, so each row is one run of k*D
+    # floats
     *lead_strides, row, pixel, _ = padded.strides
-    view = np.lib.stride_tricks.as_strided(
-        padded,
-        shape=(*lead, h, w, k, k * d),
+    view = np.ndarray(
+        (*lead, h, w, k, k * d),
+        padded.dtype,
+        buffer=padded,
         strides=(*lead_strides, row, pixel, row, padded.itemsize),
-        writeable=False,
     )
+    view.flags.writeable = False
     return view.reshape(*lead, h * w, k * k * d)
+
+
+def _affine(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """``x @ weight + bias``, the bias added in place."""
+    out = x @ weight
+    out += bias
+    return out
+
+
+def _tanh_layer(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """``np.tanh(x @ weight + bias)`` in one array."""
+    out = _affine(x, weight, bias)
+    return np.tanh(out, out=out)
+
+
+def _bias_grad(d: np.ndarray) -> np.ndarray:
+    """``d.sum(axis=-2)`` of an (m, rows, D) stack, bit for bit: einsum
+    adds the rows in the same order, without numpy's per-row reduce loop."""
+    return np.einsum("mij->mj", d)
+
+
+def _tanh_backward(d_act: np.ndarray, act: np.ndarray) -> np.ndarray:
+    """``d_act * (1 - act**2)``, written into ``d_act``."""
+    slope = np.square(act)
+    np.subtract(1.0, slope, out=slope)
+    d_act *= slope
+    return d_act
 
 
 def _conv_input_grad(dout: np.ndarray, weight: np.ndarray, radius: int) -> np.ndarray:
@@ -197,16 +227,15 @@ class TwoHeadModel:
         w1, b1, w2, b2, wa, ba, wp, bp = weights
         mask_a, mask_p = masks
         patches1 = _im2col(image, c.r_aux)
-        act1 = np.tanh(patches1 @ w1 + b1)
+        act1 = _tanh_layer(patches1, w1, b1)
         lead = image.shape[:-3]
         patches2 = _im2col(act1.reshape(*lead, c.height, c.width, c.hidden1), c.r_primary)
-        act2 = np.tanh(patches2 @ w2 + b2)
+        act2 = _tanh_layer(patches2, w2, b2)
         head_in_a = act1 if mask_a is None else act1 * mask_a
         head_in_p = act2 if mask_p is None else act2 * mask_p
-        logits_a = head_in_a @ wa + ba
-        logits_p = head_in_p @ wp + bp
-        probs_a, shifted_a, norm_a = softmax_parts(logits_a)
-        probs_p, shifted_p, norm_p = softmax_parts(logits_p)
+        # each softmax overwrites its logits with the shifted logits
+        probs_a, shifted_a, norm_a = _softmax_parts_in_place(_affine(head_in_a, wa, ba))
+        probs_p, shifted_p, norm_p = _softmax_parts_in_place(_affine(head_in_p, wp, bp))
         return _ForwardCache(
             patches1=patches1,
             act1=act1,
@@ -241,13 +270,13 @@ class TwoHeadModel:
         m = dlogits_p.shape[0]
 
         g_wp = np.swapaxes(cache.head_in_p, -1, -2) @ dlogits_p
-        g_bp = dlogits_p.sum(axis=-2)
-        d_head_p = dlogits_p @ wp.T
-
-        d_act2 = d_head_p if mask_p is None else d_head_p * mask_p
-        d_pre2 = d_act2 * (1.0 - cache.act2**2)
+        g_bp = _bias_grad(dlogits_p)
+        d_act2 = dlogits_p @ wp.T
+        if mask_p is not None:
+            d_act2 *= mask_p
+        d_pre2 = _tanh_backward(d_act2, cache.act2)
         g_w2 = np.swapaxes(cache.patches2, -1, -2) @ d_pre2
-        g_b2 = d_pre2.sum(axis=-2)
+        g_b2 = _bias_grad(d_pre2)
         d_act1 = _conv_input_grad(
             d_pre2.reshape(m, c.height, c.width, c.hidden2), w2, c.r_primary
         )
@@ -256,12 +285,14 @@ class TwoHeadModel:
             g_ba = np.zeros((m, *ba.shape))
         else:
             g_wa = np.swapaxes(cache.head_in_a, -1, -2) @ dlogits_a
-            g_ba = dlogits_a.sum(axis=-2)
+            g_ba = _bias_grad(dlogits_a)
             d_head_a = dlogits_a @ wa.T
-            d_act1 = d_act1 + (d_head_a if mask_a is None else d_head_a * mask_a)
-        d_pre1 = d_act1 * (1.0 - cache.act1**2)
+            if mask_a is not None:
+                d_head_a *= mask_a
+            d_act1 += d_head_a
+        d_pre1 = _tanh_backward(d_act1, cache.act1)
         g_w1 = np.swapaxes(cache.patches1, -1, -2) @ d_pre1
-        g_b1 = d_pre1.sum(axis=-2)
+        g_b1 = _bias_grad(d_pre1)
 
         return np.concatenate(
             [g.reshape(m, -1) for g in (g_w1, g_b1, g_w2, g_b2, g_wa, g_ba, g_wp, g_bp)],

@@ -48,17 +48,24 @@ def softmax_parts(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
     ``shifted[label] - log(normalizer)`` is ``log_softmax(logits)[label]``
     bit for bit. Rejects non-finite inputs and vectors with fewer than two
-    entries.
+    entries. ``logits`` is never modified.
     """
-    z = np.asarray(logits, dtype=np.float64)
+    return _softmax_parts_in_place(np.array(logits, dtype=np.float64))
+
+
+def _softmax_parts_in_place(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``softmax_parts`` of a float64 array that it overwrites with the
+    max-shifted logits, which it returns; the probabilities are normalized
+    in place too, so the bits are those of the out-of-place expressions."""
     if z.shape[-1] < 2:
         raise ValueError("softmax needs at least two entries along the last axis")
     if not np.all(np.isfinite(z)):
         raise ValueError("softmax: non-finite logits")
-    z = z - _fold_max(z)[..., None]
+    z -= _fold_max(z)[..., None]
     e = np.exp(z)
     norm = _fold_sum(e)
-    return e / norm[..., None], z, norm
+    e /= norm[..., None]
+    return e, z, norm
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -246,7 +246,7 @@ class TestAggregator:
             if held[-1]:
                 assert params.tobytes() == snap.params.tobytes()
         expected = {"none": [True] * 3, "running-mean": [True, False, False]}
-        expected["momentum"] = expected["running-mean"]
+        expected["momentum"] = expected["oracle-alpha"] = expected["running-mean"]
         assert held == expected.get(policy, [False] * 3)
 
     def test_unknown_policy_rejected(self):

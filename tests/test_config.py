@@ -1,8 +1,10 @@
 """Config schema: strict keys, validation, presets, echo round-trip."""
 
+import dataclasses
 import json
 import math
 import re
+import typing
 
 import pytest
 
@@ -15,9 +17,29 @@ from boostadapt.config import (
     experiment_config_to_dict,
     load_experiment_config,
 )
+from boostadapt.data import ShiftConfig
 from boostadapt.errors import ConfigError
+from boostadapt.model import ModelConfig
 
 from helpers import small_experiment_config
+
+# every float field of the three config dataclasses, and a non-finite value
+# for it; a tuple field gets a tuple with one non-finite entry
+NON_FINITE_FIELDS = [
+    (ExperimentConfig, ConfigError, "lr0", math.inf),
+    (ExperimentConfig, ConfigError, "aux_loss_weight", math.nan),
+    (ExperimentConfig, ConfigError, "dropout_rate", math.nan),
+    (ExperimentConfig, ConfigError, "lr_horizon_scale", math.inf),
+    (ExperimentConfig, ConfigError, "momentum", math.nan),
+    (ExperimentConfig, ConfigError, "ema_decay", -math.inf),
+    (ExperimentConfig, ConfigError, "softmax_temperature", math.nan),
+    (ExperimentConfig, ConfigError, "regularizer_weight", math.nan),
+    (ShiftConfig, ValueError, "feature_mean_shift", (0.375, math.nan, 0.0)),
+    (ShiftConfig, ValueError, "feature_noise_std", math.nan),
+    (ShiftConfig, ValueError, "contrast_scale", math.inf),
+    (ModelConfig, ValueError, "dropout_rate", math.nan),
+    (ModelConfig, ValueError, "aux_loss_weight", math.inf),
+]
 
 
 class TestValidation:
@@ -62,6 +84,31 @@ class TestValidation:
     def test_bad_architecture_surfaces_as_config_error(self):
         with pytest.raises(ConfigError):
             small_experiment_config(r_aux=1, r_primary=1)
+
+
+class TestNonFiniteFields:
+    """Configs built in Python, not read from a file, reject NaN and
+    infinities too: a range check like ``x <= 0.0`` lets NaN through."""
+
+    @pytest.mark.parametrize(
+        "cls, error, name, value",
+        NON_FINITE_FIELDS,
+        ids=[f"{cls.__name__}.{name}" for cls, _, name, _ in NON_FINITE_FIELDS],
+    )
+    def test_rejected(self, cls, error, name, value):
+        with pytest.raises(error, match=re.escape(f"{name}={value!r} is not finite")):
+            cls(**{name: value})
+        with pytest.raises(error, match=re.escape(f"{name}={value!r} is not finite")):
+            dataclasses.replace(cls(), **{name: value})
+
+    @pytest.mark.parametrize("cls", [ExperimentConfig, ShiftConfig, ModelConfig])
+    def test_every_float_field_is_covered(self, cls):
+        floats = {
+            name
+            for name, hint in typing.get_type_hints(cls).items()
+            if hint is float or typing.get_origin(hint) is tuple
+        }
+        assert floats == {name for c, _, name, _ in NON_FINITE_FIELDS if c is cls}
 
 
 class TestJSON:

@@ -781,11 +781,11 @@ class TestSharedWork:
             computed.append(0)
             run_ablation_suite(cfg, seeds=[seed], variants=sorted(VARIANT_PRESETS))
         # warm-up and epoch 1 once; from epoch 2 one student for the uniform
-        # cells, one for the four whose epoch-1 aggregate is the student,
-        # and one each for ema, full-entropy and oracle-alpha; from epoch 3
-        # one for the uniform cells and one for each other cell
+        # cells, one for the five whose epoch-1 aggregate is the student
+        # (oracle-alpha's included), and one each for ema and full-entropy;
+        # from epoch 3 one for the uniform cells and one for each other cell
         n = cfg.iters_per_epoch
-        assert computed == [cfg.warmup_epochs * n + n + 5 * n + 8 * n] * 6
+        assert computed == [cfg.warmup_epochs * n + n + 4 * n + 8 * n] * 6
 
         # cells apart in their temperature only share the warm-up and epoch 1
         computed.clear()

@@ -11,6 +11,7 @@ from boostadapt.errors import DivergenceError
 from boostadapt.model import (
     ModelConfig,
     TwoHeadModel,
+    _bias_grad,
     _conv_input_grad,
     _im2col,
     fuse_predictions,
@@ -57,6 +58,72 @@ def loop_col2im(cols, h, w, d, radius):
         for dx in range(k):
             padded[..., dy : dy + h, dx : dx + w, :] += cols[..., dy, dx, :]
     return padded[..., radius : radius + h, radius : radius + w, :]
+
+
+def reference_forward(model, params, image, masks):
+    """The forward as plain out-of-place expressions over ``loop_im2col``
+    and numpy's own reductions: the bits every ``_ForwardCache`` array of
+    the in-place kernel must have."""
+    c = model.config
+    w1, b1, w2, b2, wa, ba, wp, bp = model._unpack(params)
+    mask_a, mask_p = masks
+    patches1 = loop_im2col(image, c.r_aux)
+    act1 = np.tanh(patches1 @ w1 + b1)
+    lead = image.shape[:-3]
+    patches2 = loop_im2col(act1.reshape(*lead, c.height, c.width, c.hidden1), c.r_primary)
+    act2 = np.tanh(patches2 @ w2 + b2)
+    head_in_a = act1 if mask_a is None else act1 * mask_a
+    head_in_p = act2 if mask_p is None else act2 * mask_p
+    out = dict(
+        patches1=patches1,
+        act1=act1,
+        patches2=patches2,
+        act2=act2,
+        head_in_a=head_in_a,
+        head_in_p=head_in_p,
+    )
+    for head, logits in (("a", head_in_a @ wa + ba), ("p", head_in_p @ wp + bp)):
+        shifted = logits - logits.max(axis=-1)[..., None]
+        e = np.exp(shifted)
+        norm = e.sum(axis=-1)
+        out.update({f"probs_{head}": e / norm[..., None], f"shifted_{head}": shifted})
+        out[f"norm_{head}"] = norm
+    return out
+
+
+def reference_backward(model, params, ref, masks, dlogits_p, dlogits_a):
+    """``_backward``'s gradient rows as plain out-of-place expressions over
+    a ``reference_forward`` result ``ref``, with numpy's own row sums."""
+    c = model.config
+    w1, b1, w2, b2, wa, ba, wp, bp = model._unpack(params)
+    mask_a, mask_p = masks
+    m = dlogits_p.shape[0]
+    g_wp = np.swapaxes(ref["head_in_p"], -1, -2) @ dlogits_p
+    g_bp = dlogits_p.sum(axis=-2)
+    d_head_p = dlogits_p @ wp.T
+    d_act2 = d_head_p if mask_p is None else d_head_p * mask_p
+    d_pre2 = d_act2 * (1.0 - ref["act2"] ** 2)
+    g_w2 = np.swapaxes(ref["patches2"], -1, -2) @ d_pre2
+    g_b2 = d_pre2.sum(axis=-2)
+    k = 2 * c.r_primary + 1
+    rotated = w2.reshape(k, k, c.hidden1, c.hidden2)[::-1, ::-1].transpose(0, 1, 3, 2)
+    d_pre2_grid = d_pre2.reshape(m, c.height, c.width, c.hidden2)
+    d_act1 = loop_im2col(d_pre2_grid, c.r_primary) @ rotated.reshape(-1, c.hidden1)
+    if dlogits_a is None:
+        g_wa = np.zeros((m, *wa.shape))
+        g_ba = np.zeros((m, *ba.shape))
+    else:
+        g_wa = np.swapaxes(ref["head_in_a"], -1, -2) @ dlogits_a
+        g_ba = dlogits_a.sum(axis=-2)
+        d_head_a = dlogits_a @ wa.T
+        d_act1 = d_act1 + (d_head_a if mask_a is None else d_head_a * mask_a)
+    d_pre1 = d_act1 * (1.0 - ref["act1"] ** 2)
+    g_w1 = np.swapaxes(ref["patches1"], -1, -2) @ d_pre1
+    g_b1 = d_pre1.sum(axis=-2)
+    return np.concatenate(
+        [g.reshape(m, -1) for g in (g_w1, g_b1, g_w2, g_b2, g_wa, g_ba, g_wp, g_bp)],
+        axis=1,
+    )
 
 
 def head_logits(cache):
@@ -148,6 +215,74 @@ class TestPatches:
         # top-left pixel: the out-of-grid neighbors must be zero
         assert cols[0, 0, 0, 0, 0] == 0.0
         assert cols[0, 0, 1, 1, 0] == 1.0
+
+
+class TestKernelBits:
+    """The in-place forward and backward against their out-of-place
+    expressions, bit for bit, signs of zeros included."""
+
+    @pytest.mark.parametrize(
+        "cfg, m",
+        [
+            (ModelConfig(), 7),
+            (ModelConfig(height=32, width=32), 1),
+            (small_model_config(height=5, width=7, hidden1=5, hidden2=3, r_aux=1, r_primary=2), 3),
+        ],
+        ids=["16x16-stack-of-7", "32x32-stack-of-1", "5x7-r_primary-2"],
+    )
+    @pytest.mark.parametrize("dropout_seed", [None, 9])
+    @pytest.mark.parametrize("aux", [True, False])
+    def test_cache_and_gradient_rows_equal_the_reference(self, cfg, m, dropout_seed, aux):
+        model = TwoHeadModel(cfg)
+        rng = np.random.default_rng(m + cfg.height)
+        params = model.init_params(4)
+        images = rng.normal(0.0, 2.0, (m, cfg.height, cfg.width, cfg.features))
+        masks = model._head_masks(dropout_seed)
+        assert (masks[0] is None) == (dropout_seed is None)
+        shape = (m, cfg.height * cfg.width, cfg.classes)
+        # magnitudes over several orders, so a change of summation order shows
+        scale = 10.0 ** rng.integers(-6, 7, shape)
+        dlogits_p = rng.normal(size=shape) * scale
+        dlogits_a = rng.normal(size=shape) * scale[:, ::-1] if aux else None
+
+        cache = model._forward_cache(params, images, masks)
+        ref = reference_forward(model, params, images, masks)
+        for name, want in ref.items():
+            assert same_bits(getattr(cache, name), want), name
+        cached = {name: getattr(cache, name).copy() for name in ref}
+        given = [d.copy() for d in (dlogits_p, dlogits_a) if d is not None]
+
+        rows = model._backward(cache, dlogits_p, dlogits_a)
+        want = reference_backward(model, params, ref, masks, dlogits_p, dlogits_a)
+        assert rows.shape == (m, model.param_count)
+        for got_row, want_row in zip(rows, want, strict=True):
+            assert same_bits(got_row, want_row)
+        # the backward writes into none of its inputs
+        for name, before in cached.items():
+            assert same_bits(getattr(cache, name), before), name
+        for before, after in zip(given, (dlogits_p, dlogits_a)):
+            assert same_bits(after, before)
+
+    @pytest.mark.parametrize("shape", [(1, 1024, 8), (7, 256, 8), (7, 256, 4), (3, 35, 3), (2, 1, 2)])
+    def test_bias_grad_einsum_adds_rows_in_sum_order(self, shape):
+        # einsum("mij->mj") adds the rows one after another, as
+        # x.sum(axis=-2) does; over magnitudes that span many orders any
+        # other order of addition would round differently
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(20):
+            x = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, shape)
+            x[rng.random(shape) < 0.05] = -0.0
+            assert same_bits(np.einsum("mij->mj", x), x.sum(axis=-2))
+            assert same_bits(_bias_grad(x), x.sum(axis=-2))
+        negative_zeros = np.full(shape, -0.0)
+        assert same_bits(_bias_grad(negative_zeros), negative_zeros.sum(axis=-2))
+
+    def test_gather_hands_out_no_writeable_view(self):
+        # the columns of a 1x1 grid are a view of the padded grid and must
+        # be read-only; every larger grid's are a fresh, writeable copy
+        for shape in ((1, 1, 2), (2, 1, 1, 2)):
+            assert not _im2col(np.ones(shape), 1).flags.writeable
+        assert _im2col(np.ones((3, 2, 2)), 1).flags.writeable
 
 
 class TestInit:

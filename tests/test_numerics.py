@@ -13,6 +13,7 @@ from boostadapt.numerics import (
     kl_pointwise,
     log_softmax,
     softmax,
+    softmax_parts,
 )
 
 
@@ -51,6 +52,17 @@ class TestSoftmax:
     def test_rejects_single_entry(self):
         with pytest.raises(ValueError):
             softmax(np.array([3.0]))
+
+    def test_parts_leave_their_input_alone(self):
+        # softmax_parts copies and then runs the in-place core that the
+        # model's forward runs on its own logits
+        z = np.random.default_rng(3).normal(0, 4, (5, 6, 4))
+        before = z.copy()
+        probs, shifted, norm = softmax_parts(z)
+        assert np.array_equal(z, before) and not np.shares_memory(shifted, z)
+        np.testing.assert_array_equal(shifted, before - before.max(axis=-1)[..., None])
+        z.flags.writeable = False
+        assert np.array_equal(softmax_parts(z)[0], probs)
 
     def test_rowwise_matches_per_row(self):
         rng = np.random.default_rng(2)

@@ -14,6 +14,12 @@ of 8 drawn from 16 source and 16 target images at 16x16 with
 ``horizontal_flip`` on, 4 epochs of 5 iterations, so batches hold repeated
 and flipped draws, which training computes once per distinct input.
 
+Each preset also runs as ``32x32-<regularizer>`` under each regularizer:
+32x32 images, where a training stack holds one image (``chunk`` 1), in
+batches of 4 drawn from 8 source and 8 target images, 2 epochs of 5
+iterations, so the one-image stacks that 16x16 runs never make are hashed
+too.
+
 Each preset also runs four forced divergences, so the state a diverging
 run persists is hashed too: a regularizer hook returning a NaN loss at
 epoch 1 iteration 3 (``diverge-e1i3``) and at epoch 2 iteration 3
@@ -122,6 +128,21 @@ def repeats(cfg: ExperimentConfig, regularizer: str) -> ExperimentConfig:
     )
 
 
+def wide(cfg: ExperimentConfig, regularizer: str) -> ExperimentConfig:
+    """``cfg`` under ``regularizer`` on 32x32 images, which train one image
+    per stack, shortened to 2 epochs of 5 iterations on 8 + 8 images."""
+    return replace(
+        cfg,
+        regularizer=regularizer,
+        epochs=2,
+        iters_per_epoch=5,
+        warmup_epochs=1,
+        eval_last_k=2,
+        batch_size=4,
+        shift=replace(cfg.shift, height=32, width=32, source_count=8, target_count=8),
+    )
+
+
 def from_export(cfg: ExperimentConfig, root: str, variant: str) -> None:
     """``gen-data`` of ``cfg`` into ``root/variant/export``, then ``run
     --data`` on that export into ``root/variant/from-export``, through the
@@ -152,6 +173,8 @@ def main(argv: list[str] | None = None) -> int:
                 run(replace(cfg, regularizer=regularizer), tmp, variant, regularizer)
             for regularizer in ("entropy-min", "self-training"):
                 run(repeats(cfg, regularizer), tmp, variant, f"repeats-{regularizer}")
+            for regularizer in REGULARIZERS:
+                run(wide(cfg, regularizer), tmp, variant, f"32x32-{regularizer}")
             for epoch in (1, 2):
                 call = (epoch - 1) * cfg.iters_per_epoch + 3
                 with regularized_by(nan_at(call)):
