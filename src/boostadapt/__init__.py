@@ -9,9 +9,7 @@ predictions are markedly more stable than any single snapshot's.
 
 from .aggregator import (
     AggregateState,
-    Snapshot,
     adaboost_alpha,
-    init,
     update_ema,
     update_momentum,
     update_running_mean,
@@ -29,7 +27,6 @@ from .config import (
 from .data import (
     DomainPair,
     ShiftConfig,
-    TrainView,
     export_domain_pair,
     generate_domain_pair,
     import_domain_pair,
@@ -62,7 +59,6 @@ from .regularizers import (
 from .report import EpochRow, MetricsReport, SummaryRow, read_report, read_summary, write_report, write_summary
 from .sampler import SampleDistribution, draw, init_uniform, update
 from .uncertainty import (
-    ScoreVector,
     entropy_image,
     kl_variance_image,
     normalize_scores,

@@ -23,20 +23,6 @@ from .config import AGGREGATIONS
 
 
 @dataclass(frozen=True)
-class Snapshot:
-    """Student parameters captured at the end of epoch ``epoch`` (1-based)."""
-
-    params: np.ndarray
-    epoch: int
-
-    def __post_init__(self) -> None:
-        if self.params.ndim != 1:
-            raise ValueError("snapshot params must be a 1-d vector")
-        if self.epoch < 1:
-            raise ValueError("epoch index starts at 1")
-
-
-@dataclass(frozen=True)
 class AggregateState:
     mean_params: np.ndarray
     count: int
@@ -48,41 +34,28 @@ class AggregateState:
             raise ValueError("count must be >= 1")
 
 
-def init(first: Snapshot) -> AggregateState:
-    """Aggregate of a single snapshot, holding its very array; must be the
-    epoch-1 snapshot."""
-    if first.epoch != 1:
-        raise ValueError(f"aggregation starts at epoch 1, got epoch {first.epoch}")
-    return AggregateState(mean_params=first.params, count=1)
-
-
-def _check_next(state: AggregateState, snap: Snapshot) -> None:
-    if snap.params.shape != state.mean_params.shape:
+def _check_next(state: AggregateState, params: np.ndarray) -> None:
+    if params.shape != state.mean_params.shape:
         raise ValueError(
-            f"snapshot length {snap.params.shape} does not match aggregate "
+            f"snapshot length {params.shape} does not match aggregate "
             f"{state.mean_params.shape}"
         )
-    if snap.epoch != state.count + 1:
-        raise ValueError(
-            f"snapshots must arrive in epoch order: have {state.count}, "
-            f"got epoch {snap.epoch}"
-        )
 
 
-def update_running_mean(state: AggregateState, snap: Snapshot) -> AggregateState:
+def update_running_mean(state: AggregateState, params: np.ndarray) -> AggregateState:
     """Online running mean over all snapshots so far."""
-    _check_next(state, snap)
+    _check_next(state, params)
     t = state.count + 1
-    mean = ((t - 1) * state.mean_params + snap.params) / t
+    mean = ((t - 1) * state.mean_params + params) / t
     return AggregateState(mean_params=mean, count=t)
 
 
-def update_momentum(state: AggregateState, snap: Snapshot, momentum: float) -> AggregateState:
+def update_momentum(state: AggregateState, params: np.ndarray, momentum: float) -> AggregateState:
     """Fixed-coefficient blend: mean <- m * mean + (1 - m) * theta."""
     if not 0.0 < momentum < 1.0:
         raise ValueError("momentum must be in (0, 1)")
-    _check_next(state, snap)
-    mean = momentum * state.mean_params + (1.0 - momentum) * snap.params
+    _check_next(state, params)
+    mean = momentum * state.mean_params + (1.0 - momentum) * params
     return AggregateState(mean_params=mean, count=state.count + 1)
 
 
@@ -103,7 +76,7 @@ def adaboost_alpha(error: float) -> float:
     return float(0.5 * np.log((1.0 - error) / error))
 
 
-def weighted_combine(snapshots: Sequence[Snapshot], alphas: Sequence[float]) -> np.ndarray:
+def weighted_combine(snapshots: Sequence[np.ndarray], alphas: Sequence[float]) -> np.ndarray:
     """Alpha-weighted parameter combination, alphas normalized to sum 1."""
     if len(snapshots) == 0:
         raise ValueError("no snapshots to combine")
@@ -118,9 +91,9 @@ def weighted_combine(snapshots: Sequence[Snapshot], alphas: Sequence[float]) -> 
     if total <= 0.0:
         raise ValueError("alphas must sum to a positive value")
     a = a / total
-    out = np.zeros_like(snapshots[0].params)
+    out = np.zeros_like(snapshots[0])
     for weight, snap in zip(a, snapshots):
-        out = out + weight * snap.params
+        out = out + weight * snap
     return out
 
 
@@ -138,41 +111,37 @@ class Aggregator:
         self.momentum = momentum
         self.ema_decay = ema_decay
         self.state = AggregateState(mean_params=start_params.copy(), count=1)
-        self.snapshots: list[Snapshot] = []
+        self.snapshots: list[np.ndarray] = []
         self._errors: list[float] = []
 
     def after_step(self, params: np.ndarray) -> None:
         if self.policy == "ema":
             self.state = update_ema(self.state, params, self.ema_decay)
 
-    def after_epoch(self, snap: Snapshot, heldout_error: Callable[[], float]) -> np.ndarray:
-        """Fold in the epoch's snapshot; return the aggregate parameters,
-        the snapshot's own array when the aggregate is that snapshot.
-        ``heldout_error()`` is the student's labeled target error, asked for
-        under ``oracle-alpha`` only."""
-        self.snapshots.append(snap)
-        if self.policy == "running-mean":
-            self.state = init(snap) if snap.epoch == 1 else update_running_mean(self.state, snap)
-        elif self.policy == "momentum":
-            self.state = (
-                init(snap) if snap.epoch == 1 else update_momentum(self.state, snap, self.momentum)
-            )
-        elif self.policy == "oracle-alpha":
+    def after_epoch(self, params: np.ndarray, heldout_error: Callable[[], float]) -> np.ndarray:
+        """Fold in the student's epoch-end snapshot ``params``; return the
+        aggregate parameters, ``params`` itself when the aggregate is that
+        snapshot. ``heldout_error()`` is the student's labeled target error,
+        asked for under ``oracle-alpha`` only."""
+        self.snapshots.append(params)
+        t = len(self.snapshots)
+        if self.policy == "oracle-alpha":
             self._errors.append(float(np.clip(heldout_error(), 1e-6, 1.0 - 1e-6)))
+        if self.policy == "none" or (t == 1 and self.policy != "ema"):
+            # the aggregate of one snapshot is its own array, so it keeps the
+            # student's lineage
+            self.state = AggregateState(params, t)
+        elif self.policy == "running-mean":
+            self.state = update_running_mean(self.state, params)
+        elif self.policy == "momentum":
+            self.state = update_momentum(self.state, params, self.momentum)
+        elif self.policy == "oracle-alpha":
             alphas = [adaboost_alpha(e) for e in self._errors]
             if min(alphas) <= 0.0:
                 # boosting weights degenerate when a snapshot is no better
                 # than chance; fall back to the plain mean
-                alphas = [1.0] * len(self.snapshots)
-            # one snapshot's normalized weight is 1, so the epoch-1 aggregate
-            # is the snapshot itself and keeps the student's lineage
-            self.state = (
-                init(snap)
-                if snap.epoch == 1
-                else AggregateState(weighted_combine(self.snapshots, alphas), snap.epoch)
-            )
-        elif self.policy == "none":
-            self.state = AggregateState(snap.params, snap.epoch)
+                alphas = [1.0] * t
+            self.state = AggregateState(weighted_combine(self.snapshots, alphas), t)
         return self.state.mean_params
 
 

@@ -5,7 +5,7 @@ checkerboard) rendered to features: pixel features = class signature vector
 plus isotropic Gaussian noise. Target images use the same signatures scaled
 by a contrast factor, shifted per channel, and re-noised, so the two domains
 share semantics but not feature statistics. Target labels are generated for
-evaluation only and are structurally separated from the training view.
+evaluation only.
 
 Determinism: signatures, label geometries, and noise come from three fixed
 substreams of ``ShiftConfig.seed``; draw order is all source label maps,
@@ -75,15 +75,6 @@ class ShiftConfig:
         )
 
 
-@dataclass(frozen=True)
-class TrainView:
-    """Everything the training loop may touch. No target labels, by construction."""
-
-    source_images: np.ndarray
-    source_labels: np.ndarray
-    target_images: np.ndarray
-
-
 _ARRAY_FIELDS = (
     "source_images",
     "source_labels",
@@ -106,13 +97,6 @@ class DomainPair:
     def __post_init__(self) -> None:
         for name in _ARRAY_FIELDS:
             getattr(self, name).flags.writeable = False
-
-    def trainer_view(self) -> TrainView:
-        return TrainView(
-            source_images=self.source_images,
-            source_labels=self.source_labels,
-            target_images=self.target_images,
-        )
 
 
 def _label_map(rng: np.random.Generator, cfg: ShiftConfig) -> np.ndarray:

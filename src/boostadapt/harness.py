@@ -70,7 +70,7 @@ class RunResult:
     aggregate: np.ndarray
     distribution: sampler.SampleDistribution
     distributions: tuple[np.ndarray, ...]  # D_t used in epoch t, t = 1..T1
-    snapshots: tuple[aggregator.Snapshot, ...]  # student at the end of epoch t, t = 1..T1
+    snapshots: tuple[np.ndarray, ...]  # student at the end of epoch t, t = 1..T1
     model: TwoHeadModel
 
 
@@ -241,8 +241,7 @@ def run_experiment(
     if work.scope != work_scope(cfg):
         raise ValueError("shared work of another scope")
     data = work.data
-    view = data.trainer_view()
-    n_source = len(view.source_images)
+    n_source = len(data.source_images)
 
     params = model.init_params(substream_seed(cfg.seed, "init"))
     dropout_rng = substream(cfg.seed, "dropout")
@@ -279,14 +278,14 @@ def run_experiment(
 
         def compute() -> np.ndarray:
             batch = [
-                (view.source_images[i][:, ::-1], view.source_labels[i][:, ::-1])
+                (data.source_images[i][:, ::-1], data.source_labels[i][:, ::-1])
                 if flip
-                else (view.source_images[i], view.source_labels[i])
+                else (data.source_images[i], data.source_labels[i])
                 for i, flip in zip(source, flips)
             ]
             term = None
             if target is not None:
-                term = reg(params, [view.target_images[j] for j in target])
+                term = reg(params, [data.target_images[j] for j in target])
             return model.grad_step(params, batch, lr, dropout_seed=seed, term=term)[0]
 
         how = step_how(student, dist_id, lr, seed, source, flips, target)
@@ -309,14 +308,14 @@ def run_experiment(
         from its fused predictions."""
 
         def compute() -> np.ndarray:
-            scored = score_dataset(model, params, data.target_images, criterion)
+            values, predicted = score_dataset(model, params, data.target_images, criterion)
             work.get(
                 ("confusion", aggregate, "target"),
                 lambda: confusion_matrix(
-                    scored.predicted, data.target_labels_heldout, model.config.classes
+                    predicted, data.target_labels_heldout, model.config.classes
                 ),
             )
-            return scored.values
+            return values
 
         return work.get(("score", aggregate, criterion), compute)[1]
 
@@ -334,7 +333,7 @@ def run_experiment(
             kept = (params, aggregator.AggregateState(params, 1))
             step += 1
 
-        dist = sampler.init_uniform(len(view.target_images))
+        dist = sampler.init_uniform(len(data.target_images))
         dist_id = work.lineage("uniform")
         dist_trace: list[np.ndarray] = []
         agg = aggregator.Aggregator(cfg.aggregation, params, cfg.momentum, cfg.ema_decay)
@@ -348,9 +347,9 @@ def run_experiment(
                 agg.after_step(params)
                 step += 1
 
+            where = f"epoch {t} evaluation"
             aggregate_params = agg.after_epoch(
-                aggregator.Snapshot(params=params, epoch=t),
-                lambda: 1.0 - pixel_accuracy(confusion(student, params, "target")),
+                params, lambda: 1.0 - pixel_accuracy(confusion(student, params, "target"))
             )
             # the aggregate is the student exactly when the policy hands back
             # the snapshot's own array

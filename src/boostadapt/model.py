@@ -90,6 +90,13 @@ def _tanh_layer(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarr
     return np.tanh(out, out=out)
 
 
+def _finite(logits: np.ndarray) -> np.ndarray:
+    """``logits``, checked: finite parameters whose logits overflow diverge."""
+    if not np.all(np.isfinite(logits)):
+        raise DivergenceError("non-finite logits")
+    return logits
+
+
 def _bias_grad(d: np.ndarray) -> np.ndarray:
     """``d.sum(axis=-2)`` of an (m, rows, D) stack, bit for bit: einsum
     adds the rows in the same order, without numpy's per-row reduce loop."""
@@ -234,8 +241,8 @@ class TwoHeadModel:
         head_in_a = act1 if mask_a is None else act1 * mask_a
         head_in_p = act2 if mask_p is None else act2 * mask_p
         # each softmax overwrites its logits with the shifted logits
-        probs_a, shifted_a, norm_a = _softmax_parts_in_place(_affine(head_in_a, wa, ba))
-        probs_p, shifted_p, norm_p = _softmax_parts_in_place(_affine(head_in_p, wp, bp))
+        probs_a, shifted_a, norm_a = _softmax_parts_in_place(_finite(_affine(head_in_a, wa, ba)))
+        probs_p, shifted_p, norm_p = _softmax_parts_in_place(_finite(_affine(head_in_p, wp, bp)))
         return _ForwardCache(
             patches1=patches1,
             act1=act1,

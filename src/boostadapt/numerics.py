@@ -50,17 +50,19 @@ def softmax_parts(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     bit for bit. Rejects non-finite inputs and vectors with fewer than two
     entries. ``logits`` is never modified.
     """
-    return _softmax_parts_in_place(np.array(logits, dtype=np.float64))
+    z = np.array(logits, dtype=np.float64)
+    if not np.all(np.isfinite(z)):
+        raise ValueError("softmax: non-finite logits")
+    return _softmax_parts_in_place(z)
 
 
 def _softmax_parts_in_place(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``softmax_parts`` of a float64 array that it overwrites with the
-    max-shifted logits, which it returns; the probabilities are normalized
-    in place too, so the bits are those of the out-of-place expressions."""
+    """``softmax_parts`` of a float64 array of finite logits, which its
+    caller checks, and which it overwrites with the max-shifted logits and
+    returns; the probabilities are normalized in place too, so the bits are
+    those of the out-of-place expressions."""
     if z.shape[-1] < 2:
         raise ValueError("softmax needs at least two entries along the last axis")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("softmax: non-finite logits")
     z -= _fold_max(z)[..., None]
     e = np.exp(z)
     norm = _fold_sum(e)

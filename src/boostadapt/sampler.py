@@ -22,13 +22,10 @@ SUM_TOL = 1e-6
 @dataclass(frozen=True)
 class SampleDistribution:
     weights: np.ndarray
-    epoch: int
 
     def __post_init__(self) -> None:
         if self.weights.ndim != 1 or self.weights.size < 1:
             raise ValueError("weights must be a non-empty 1-d vector")
-        if self.epoch < 1:
-            raise ValueError("epoch index starts at 1")
         if np.any(self.weights < 0.0) or not np.all(np.isfinite(self.weights)):
             raise ValueError("weights must be finite and non-negative")
         if abs(self.weights.sum() - 1.0) > SUM_TOL:
@@ -47,11 +44,11 @@ def init_uniform(count: int) -> SampleDistribution:
     """Epoch-1 distribution: exactly 1/count everywhere."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    return SampleDistribution(weights=np.full(count, 1.0 / count), epoch=1)
+    return SampleDistribution(weights=np.full(count, 1.0 / count))
 
 
 def update(dist: SampleDistribution, normalized_scores: np.ndarray) -> SampleDistribution:
-    """Blend the current weights with a normalized score vector, advance epoch."""
+    """Blend the current weights with a normalized score vector."""
     scores = np.asarray(normalized_scores, dtype=np.float64)
     if scores.shape != dist.weights.shape:
         raise ValueError(
@@ -63,7 +60,7 @@ def update(dist: SampleDistribution, normalized_scores: np.ndarray) -> SampleDis
         raise ValueError(f"normalized scores sum to {scores.sum()!r}, not 1")
     blended = 0.5 * (dist.weights + scores)
     blended = blended / blended.sum()
-    return SampleDistribution(weights=blended, epoch=dist.epoch + 1)
+    return SampleDistribution(weights=blended)
 
 
 def draw(dist: SampleDistribution, rng: np.random.Generator, count: int) -> np.ndarray:

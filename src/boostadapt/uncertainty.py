@@ -10,7 +10,6 @@ distribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -19,26 +18,6 @@ from .model import TwoHeadModel, fuse_predictions
 from .numerics import entropy, kl_pointwise, softmax
 
 CRITERIA = ("kl-variance", "entropy")
-
-
-@dataclass(frozen=True)
-class ScoreVector:
-    values: np.ndarray
-    criterion: str
-    # (N, H, W) argmax of the fused prediction the scoring pass computed, so
-    # evaluating the scored params on the same images needs no second pass
-    predicted: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.criterion not in CRITERIA:
-            raise ValueError(f"unknown criterion {self.criterion!r}")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("scores must be finite")
-        if np.any(self.values < 0.0):
-            raise ValueError("scores must be non-negative")
-
-    def __len__(self) -> int:
-        return int(self.values.size)
 
 
 def kl_variance_image(primary: np.ndarray, aux: np.ndarray) -> float:
@@ -59,9 +38,11 @@ def score_dataset(
     params: np.ndarray,
     images: Sequence[np.ndarray],
     criterion: str = "kl-variance",
-) -> ScoreVector:
-    """Eval-mode score and fused per-pixel prediction of every image, one
-    ``model.forward_chunks`` chunk at a time."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eval-mode (scores, predictions) of every image, one
+    ``model.forward_chunks`` chunk at a time: the (N,) scores, and the
+    (N, H, W) argmax of the fused prediction, so evaluating ``params`` on
+    the same images needs no second pass."""
     if criterion not in CRITERIA:
         raise ValueError(f"unknown criterion {criterion!r}; known: {CRITERIA}")
     if len(images) == 0:
@@ -73,16 +54,14 @@ def score_dataset(
         per_pixel = kl_pointwise(primary, aux) if criterion == "kl-variance" else entropy(primary)
         values[span] = per_pixel.reshape(len(primary), -1).mean(axis=1)
         predicted[span] = np.argmax(fuse_predictions(primary, aux), axis=-1)
-    return ScoreVector(values=values, criterion=criterion, predicted=predicted)
+    return values, predicted
 
 
-def normalize_scores(
-    scores: ScoreVector | np.ndarray, temperature: float = 1.0
-) -> np.ndarray:
+def normalize_scores(scores: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     """Softmax over the dataset's scores; temperature 1 is the plain rule."""
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
-    values = scores.values if isinstance(scores, ScoreVector) else np.asarray(scores)
+    values = np.asarray(scores)
     if values.ndim != 1:
         raise ValueError("scores must be a 1-d vector")
     return softmax(values / temperature)

@@ -19,6 +19,20 @@ def max_rel_error(got: np.ndarray, want: np.ndarray, floor: float = 1e-3) -> flo
     return float(np.max(np.abs(got - want) / denom))
 
 
+# A run config whose one epoch-1 step leaves finite parameters (max |p|
+# 6.4e307) whose logits overflow in the epoch-end evaluation.
+LOGIT_OVERFLOW = {
+    "seed": 4,
+    "lr0": 1.7e308,
+    "epochs": 3,
+    "iters_per_epoch": 1,
+    "warmup_epochs": 0,
+    "eval_last_k": 2,
+    "sampler": "uniform",
+    "aggregation": "none",
+}
+
+
 def small_model_config(**overrides) -> ModelConfig:
     base = dict(
         height=6,

@@ -12,12 +12,7 @@ import os
 import numpy as np
 import pytest
 
-from boostadapt.aggregator import (
-    AggregateState,
-    Snapshot,
-    init as agg_init,
-    update_running_mean,
-)
+from boostadapt.aggregator import AggregateState, update_running_mean
 from boostadapt.cli import EXIT_IO, cli_main
 from boostadapt.config import ABLATION_VARIANTS, ExperimentConfig
 from boostadapt.harness import run_ablation_suite, run_experiment
@@ -98,11 +93,11 @@ def test_criterion_02_online_mean_equals_batch_mean(announce):
         t_len = int(rng.integers(1, 51))
         p_len = int(rng.integers(1, 2001))
         seq = rng.normal(scale=rng.uniform(0.01, 100.0), size=(t_len, p_len))
-        state = agg_init(Snapshot(params=seq[0], epoch=1))
+        state = AggregateState(seq[0], 1)
         scale = float(np.sqrt(np.mean(seq**2)))  # rel error is against data scale
         for t in range(1, t_len + 1):
             if t > 1:
-                state = update_running_mean(state, Snapshot(params=seq[t - 1], epoch=t))
+                state = update_running_mean(state, seq[t - 1])
             batch = seq[:t].mean(axis=0)
             err = np.max(np.abs(state.mean_params - batch) / np.maximum(np.abs(batch), scale))
             worst = max(worst, float(err))

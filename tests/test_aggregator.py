@@ -11,9 +11,7 @@ from boostadapt import paramio
 from boostadapt.aggregator import (
     AggregateState,
     Aggregator,
-    Snapshot,
     adaboost_alpha,
-    init,
     save_aggregate,
     update_ema,
     update_momentum,
@@ -24,7 +22,7 @@ from boostadapt.config import AGGREGATIONS
 
 
 def make_snapshots(rng, count, dim):
-    return [Snapshot(params=rng.normal(0, 1, dim), epoch=t) for t in range(1, count + 1)]
+    return [rng.normal(0, 1, dim) for _ in range(count)]
 
 
 class TestRunningMean:
@@ -34,36 +32,40 @@ class TestRunningMean:
         for trial in range(20):
             dim = int(rng.integers(3, 50))
             snaps = make_snapshots(rng, int(rng.integers(2, 30)), dim)
-            state = init(snaps[0])
+            state = AggregateState(snaps[0], 1)
             for t, snap in enumerate(snaps[1:], start=2):
                 state = update_running_mean(state, snap)
-                batch = np.sum([s.params for s in snaps[:t]], axis=0) / t
+                batch = np.sum(snaps[:t], axis=0) / t
                 err = np.abs(state.mean_params - batch) / np.maximum(np.abs(batch), 1e-12)
                 assert err.max() < 1e-12
                 assert state.count == t
 
     def test_single_snapshot_is_identity(self):
         rng = np.random.default_rng(1)
-        snap = Snapshot(params=rng.normal(0, 1, 7), epoch=1)
-        state = init(snap)
-        np.testing.assert_array_equal(state.mean_params, snap.params)
-        assert state.count == 1
-
-    def test_init_requires_first_epoch(self):
-        with pytest.raises(ValueError):
-            init(Snapshot(params=np.zeros(3), epoch=2))
-
-    def test_epoch_order_enforced(self):
-        rng = np.random.default_rng(2)
-        snaps = make_snapshots(rng, 3, 4)
-        state = init(snaps[0])
-        with pytest.raises(ValueError):
-            update_running_mean(state, snaps[2])  # skipped epoch 2
+        snap = rng.normal(0, 1, 7)
+        agg = Aggregator("running-mean", np.zeros(7), momentum=0.5, ema_decay=0.5)
+        assert agg.after_epoch(snap, lambda: 0.5) is snap
+        assert agg.state.count == 1
 
     def test_length_mismatch(self):
-        state = init(Snapshot(params=np.zeros(3), epoch=1))
-        with pytest.raises(ValueError):
-            update_running_mean(state, Snapshot(params=np.zeros(4), epoch=2))
+        state = AggregateState(np.zeros(3), 1)
+        updates = (
+            lambda p: update_running_mean(state, p),
+            lambda p: update_momentum(state, p, 0.5),
+            lambda p: update_ema(state, p, 0.5),
+        )
+        for update in updates:
+            for bad in (np.zeros(4), np.zeros((3, 1))):
+                with pytest.raises(ValueError, match="does not match"):
+                    update(bad)
+
+    def test_aggregate_is_a_vector_of_at_least_one_snapshot(self):
+        # with the epoch gone from a snapshot, these checks and the shape
+        # check are what an aggregate still enforces on its inputs
+        with pytest.raises(ValueError, match="1-d vector"):
+            AggregateState(np.zeros((3, 1)), 1)
+        with pytest.raises(ValueError, match="count must be"):
+            AggregateState(np.zeros(3), 0)
 
 
 class TestBaselines:
@@ -71,19 +73,18 @@ class TestBaselines:
         rng = np.random.default_rng(3)
         snaps = make_snapshots(rng, 5, 6)
         for m in (0.9, 0.5):
-            state = init(snaps[0])
-            expected = snaps[0].params.copy()
+            state = AggregateState(snaps[0], 1)
+            expected = snaps[0].copy()
             for snap in snaps[1:]:
                 state = update_momentum(state, snap, m)
-                expected = m * expected + (1 - m) * snap.params
+                expected = m * expected + (1 - m) * snap
                 np.testing.assert_allclose(state.mean_params, expected, atol=1e-12)
 
     def test_momentum_range(self):
-        state = init(Snapshot(params=np.zeros(3), epoch=1))
-        snap = Snapshot(params=np.ones(3), epoch=2)
+        state = AggregateState(np.zeros(3), 1)
         for bad in (0.0, 1.0, -0.5):
             with pytest.raises(ValueError):
-                update_momentum(state, snap, bad)
+                update_momentum(state, np.ones(3), bad)
 
     def test_ema_recurrence(self):
         rng = np.random.default_rng(4)
@@ -127,14 +128,14 @@ class TestBoostingWeights:
         out1 = weighted_combine(snaps, a)
         out2 = weighted_combine(snaps, [x * 7.5 for x in a])
         np.testing.assert_allclose(out1, out2, atol=1e-12)
-        expected = (2 * snaps[0].params + snaps[1].params + snaps[2].params) / 4
+        expected = (2 * snaps[0] + snaps[1] + snaps[2]) / 4
         np.testing.assert_allclose(out1, expected, atol=1e-12)
 
     def test_equal_alphas_give_plain_mean(self):
         rng = np.random.default_rng(6)
         snaps = make_snapshots(rng, 4, 5)
         out = weighted_combine(snaps, [1.0] * 4)
-        np.testing.assert_allclose(out, np.mean([s.params for s in snaps], axis=0), atol=1e-12)
+        np.testing.assert_allclose(out, np.mean(snaps, axis=0), atol=1e-12)
 
     def test_degenerate_alphas_rejected(self):
         rng = np.random.default_rng(7)
@@ -150,7 +151,7 @@ class TestBoostingWeights:
 class TestSerialization:
     def test_aggregate_round_trip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(8)
-        state = init(Snapshot(params=rng.normal(0, 1, 33), epoch=1))
+        state = AggregateState(rng.normal(0, 1, 33), 1)
         path = str(tmp_path / "agg.abst")
         save_aggregate(path, state)
         loaded = paramio.load_file(path)
@@ -170,19 +171,19 @@ def reference_states(policy, start, epochs, errors, momentum, decay):
         for p in steps:
             if policy == "ema":
                 state = update_ema(state, p, decay)
-        snap = Snapshot(params=steps[-1].copy(), epoch=t)
+        snap = steps[-1].copy()
         snaps.append(snap)
         if policy == "running-mean":
-            state = init(snap) if t == 1 else update_running_mean(state, snap)
+            state = AggregateState(snap, 1) if t == 1 else update_running_mean(state, snap)
         elif policy == "momentum":
-            state = init(snap) if t == 1 else update_momentum(state, snap, momentum)
+            state = AggregateState(snap, 1) if t == 1 else update_momentum(state, snap, momentum)
         elif policy == "oracle-alpha":
             alphas = [adaboost_alpha(e) for e in errors[:t]]
             if min(alphas) <= 0.0:
                 alphas = [1.0] * t
             state = AggregateState(weighted_combine(snaps, alphas), t)
         elif policy == "none":
-            state = AggregateState(snap.params, t)
+            state = AggregateState(snap, t)
         out.append(state)
     return out
 
@@ -205,7 +206,7 @@ class TestAggregator:
                 asked.append(t)
                 return self.ERRORS[t - 1]
 
-            params = agg.after_epoch(Snapshot(params=steps[-1].copy(), epoch=t), heldout_error)
+            params = agg.after_epoch(steps[-1].copy(), heldout_error)
             assert params is agg.state.mean_params
             states.append(agg.state)
         want = reference_states(policy, start, epochs, self.ERRORS, 0.7, 0.9)
@@ -217,7 +218,7 @@ class TestAggregator:
         for got, ref in zip(states, want, strict=True):
             assert np.array_equal(got.mean_params, ref.mean_params)
             assert got.count == ref.count
-        assert [s.epoch for s in agg.snapshots] == [1, 2, 3]
+        assert len(agg.snapshots) == 3
 
     @pytest.mark.parametrize("policy", AGGREGATIONS)
     def test_heldout_error_asked_once_per_epoch_under_oracle_alpha_only(self, policy):
@@ -238,13 +239,11 @@ class TestAggregator:
         rng = np.random.default_rng(12)
         agg = Aggregator(policy, rng.normal(0, 1, 6), momentum=0.7, ema_decay=0.9)
         held = []
-        for t, error in enumerate(self.ERRORS, start=1):
-            snap = Snapshot(params=rng.normal(0, 1, 6), epoch=t)
-            agg.after_step(snap.params)
+        for error in self.ERRORS:
+            snap = rng.normal(0, 1, 6)
+            agg.after_step(snap)
             params = agg.after_epoch(snap, lambda error=error: error)
-            held.append(params is snap.params)
-            if held[-1]:
-                assert params.tobytes() == snap.params.tobytes()
+            held.append(params is snap)
         expected = {"none": [True] * 3, "running-mean": [True, False, False]}
         expected["momentum"] = expected["oracle-alpha"] = expected["running-mean"]
         assert held == expected.get(policy, [False] * 3)

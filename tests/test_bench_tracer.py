@@ -1,0 +1,35 @@
+"""The benchmark's tracer still finds every name it wraps.
+
+``bench/tracer.py`` wraps package callables by name with ``getattr``, so a
+name that the package renames or deletes breaks ``bench/run.py --trace 1``.
+This runs the tracer over a tiny suite of every preset and checks that it
+reports every per-layer metric ``BENCHMARK.json`` declares.
+"""
+
+import json
+import time
+from pathlib import Path
+
+from boostadapt.config import VARIANT_PRESETS
+from boostadapt.harness import run_ablation_suite
+
+from helpers import small_experiment_config
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# added by the benchmark worker, not by the tracer
+WORKER_METRICS = ("quality.", "trace.overhead_s")
+
+
+def test_tracer_reports_every_declared_per_layer_metric(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    from tracer import Tracer
+
+    cfg = small_experiment_config(epochs=2, iters_per_epoch=2, eval_last_k=1)
+    start = time.perf_counter()
+    with Tracer().install() as tracer:
+        run_ablation_suite(cfg, [1], variants=sorted(VARIANT_PRESETS), out_dir=str(tmp_path))
+    metrics = tracer.layer_metrics(time.perf_counter() - start)
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    wanted = {m["name"] for m in declared if not m["name"].startswith(WORKER_METRICS)}
+    assert wanted and wanted - metrics.keys() == set()

@@ -18,6 +18,8 @@ from boostadapt.model import TwoHeadModel
 from boostadapt.paramio import load_file
 from boostadapt.report import read_report, read_summary
 
+from helpers import LOGIT_OVERFLOW
+
 
 @pytest.fixture
 def config_path(tmp_path):
@@ -128,6 +130,25 @@ class TestRun:
         assert cli_main(["run", "--config", config_path, "--out", out]) == EXIT_DIVERGENCE
         assert "warm-up iteration 2" in capsys.readouterr().err
         assert read_report(os.path.join(out, "report.csv")).rows == ()
+
+    def test_logit_overflow_exits_3_with_state_persisted(self, tmp_path, capsys):
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(LOGIT_OVERFLOW))
+        out = tmp_path / "o"
+        assert cli_main(["run", "--config", str(path), "--out", str(out)]) == EXIT_DIVERGENCE
+        err = capsys.readouterr().err
+        assert "training diverged: epoch 1 evaluation: non-finite logits" in err
+        assert sorted(p.name for p in out.iterdir()) == [
+            "aggregate.abst",
+            "report.csv",
+            "student.abst",
+        ]
+        student = load_file(str(out / "student.abst"))
+        aggregate = load_file(str(out / "aggregate.abst"))
+        # the student entering adaptation, which is also the aggregate
+        assert (student.seq, aggregate.seq) == (0, 1)
+        assert np.array_equal(aggregate.params, student.params)
+        assert read_report(str(out / "report.csv")).rows == ()
 
     def test_run_from_exported_data(self, tmp_path, config_path):
         data_dir = str(tmp_path / "data")

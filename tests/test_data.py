@@ -1,6 +1,5 @@
 """Synthetic domain pair: determinism, shift semantics, label hygiene, export."""
 
-import dataclasses
 import hashlib
 import json
 import re
@@ -13,7 +12,6 @@ from boostadapt.data import (
     GEOMETRIES,
     DomainPair,
     ShiftConfig,
-    TrainView,
     class_signatures,
     export_domain_pair,
     generate_domain_pair,
@@ -111,21 +109,6 @@ class TestGeneration:
         pair = generate_domain_pair(cfg)
         residual = pair.source_images - class_signatures(cfg)[pair.source_labels]
         np.testing.assert_allclose(residual.std(), 0.3, atol=0.02)
-
-
-class TestTrainView:
-    def test_no_target_labels_reachable(self):
-        pair = generate_domain_pair(small_shift_config())
-        view = pair.trainer_view()
-        fields = {f.name for f in dataclasses.fields(TrainView)}
-        assert fields == {"source_images", "source_labels", "target_images"}
-        assert not hasattr(view, "target_labels_heldout")
-
-    def test_arrays_are_the_training_half(self):
-        pair = generate_domain_pair(small_shift_config())
-        view = pair.trainer_view()
-        np.testing.assert_array_equal(view.source_images, pair.source_images)
-        np.testing.assert_array_equal(view.target_images, pair.target_images)
 
 
 class TestReadOnly:

@@ -18,6 +18,7 @@ from boostadapt.config import (
     VARIANT_PRESETS,
     ExperimentConfig,
     apply_variant,
+    experiment_config_from_dict,
 )
 from boostadapt.data import generate_domain_pair
 from boostadapt.errors import ConfigError, DivergenceError
@@ -39,7 +40,13 @@ from boostadapt.rng import substream_seed
 from boostadapt.sampler import update as sampler_update
 from boostadapt.uncertainty import normalize_scores, score_dataset
 
-from helpers import forwarded_images, per_position, small_experiment_config, small_shift_config
+from helpers import (
+    LOGIT_OVERFLOW,
+    forwarded_images,
+    per_position,
+    small_experiment_config,
+    small_shift_config,
+)
 
 
 class RecordingScorer:
@@ -54,9 +61,9 @@ class RecordingScorer:
     def __call__(self, model, params, images, criterion):
         self.params.append(np.array(params))
         self.criteria.append(criterion)
-        sv = score_dataset(model, params, images, criterion)
-        self.scores.append(sv.values.copy())
-        return sv
+        values, predicted = score_dataset(model, params, images, criterion)
+        self.scores.append(values.copy())
+        return values, predicted
 
     @classmethod
     def every_run(cls, monkeypatch):
@@ -171,7 +178,7 @@ class TestLoopStructure:
         from boostadapt.sampler import SampleDistribution
 
         for t in range(len(res.distributions) - 1):
-            d_t = SampleDistribution(weights=res.distributions[t], epoch=t + 1)
+            d_t = SampleDistribution(weights=res.distributions[t])
             expected = sampler_update(
                 d_t, normalize_scores(spy.scores[t], cfg.softmax_temperature)
             )
@@ -190,7 +197,7 @@ class TestLoopStructure:
         spy = RecordingScorer.every_run(monkeypatch)
         cfg = small_experiment_config(epochs=3, aggregation="running-mean")
         res = run_experiment(cfg)
-        snaps = [s.params for s in res.snapshots]
+        snaps = res.snapshots
         for t in range(1, len(snaps) + 1):
             expected = np.mean(snaps[:t], axis=0)
             np.testing.assert_allclose(spy.params[t - 1], expected, atol=1e-12)
@@ -201,7 +208,7 @@ class TestLoopStructure:
         spy = RecordingScorer.every_run(monkeypatch)
         cfg = small_experiment_config(epochs=2, aggregation="none")
         res = run_experiment(cfg)
-        np.testing.assert_array_equal(spy.params[-1], res.snapshots[-1].params)
+        np.testing.assert_array_equal(spy.params[-1], res.snapshots[-1])
 
     def test_scoring_criterion_follows_sampler(self, monkeypatch):
         for sampler, expected in (
@@ -219,8 +226,7 @@ class TestAggregationVariants:
     def test_running_mean_aggregate_is_snapshot_mean(self):
         cfg = small_experiment_config(epochs=4, aggregation="running-mean")
         res = run_experiment(cfg)
-        snaps = [s.params for s in res.snapshots]
-        np.testing.assert_allclose(res.aggregate, np.mean(snaps, axis=0), atol=1e-12)
+        np.testing.assert_allclose(res.aggregate, np.mean(res.snapshots, axis=0), atol=1e-12)
 
     def test_none_aggregate_equals_student(self):
         res = run_experiment(small_experiment_config(aggregation="none"))
@@ -231,9 +237,9 @@ class TestAggregationVariants:
     def test_momentum_aggregate_matches_shadow(self):
         cfg = small_experiment_config(epochs=4, aggregation="momentum", momentum=0.5)
         res = run_experiment(cfg)
-        shadow = res.snapshots[0].params.copy()
+        shadow = res.snapshots[0].copy()
         for snap in res.snapshots[1:]:
-            shadow = 0.5 * shadow + 0.5 * snap.params
+            shadow = 0.5 * shadow + 0.5 * snap
         np.testing.assert_allclose(res.aggregate, shadow, atol=1e-12)
 
     def test_ema_with_tiny_decay_tracks_student(self):
@@ -265,9 +271,7 @@ class TestAggregationVariants:
         pair = generate_domain_pair(dataclasses.replace(cfg.shift, seed=data_seed))
         errors = []
         for snap in res.snapshots:
-            cm = dataset_confusion(
-                res.model, snap.params, pair.target_images, pair.target_labels_heldout
-            )
+            cm = dataset_confusion(res.model, snap, pair.target_images, pair.target_labels_heldout)
             errors.append(float(np.clip(1.0 - pixel_accuracy(cm), 1e-6, 1 - 1e-6)))
         alphas = [adaboost_alpha(e) for e in errors]
         if min(alphas) <= 0 or sum(alphas) <= 0:
@@ -425,7 +429,7 @@ class TestDivergenceHandling:
         assert len(read_report(os.path.join(out, "report.csv")).rows) == 1
         every_run_regularizes_with(monkeypatch, self._nan_after(10**9))
         finished = run_experiment(cfg)
-        np.testing.assert_array_equal(student.params, finished.snapshots[0].params)
+        np.testing.assert_array_equal(student.params, finished.snapshots[0])
 
     def test_warmup_divergence_keeps_the_student_before_the_failing_step(
         self, tmp_path, monkeypatch
@@ -918,6 +922,16 @@ class TestOverflow:
             warnings.simplefilter("error")
             with pytest.raises(DivergenceError, match="epoch 2 iteration 1: non-finite loss"):
                 run_experiment(cfg)
+
+    def test_a_suite_records_logit_overflow_as_nan_rows(self, tmp_path):
+        # finite params whose logits overflow are a divergence: every cell
+        # is a NaN row and the suite goes on
+        cfg = experiment_config_from_dict(LOGIT_OVERFLOW)
+        rows = run_ablation_suite(cfg, [cfg.seed], out_dir=str(tmp_path))
+        assert [r.variant for r in rows] == list(ABLATION_VARIANTS)
+        for row in rows:
+            assert all(np.isnan(v) for v in dataclasses.astuple(row)[2:])
+        assert (tmp_path / "summary.csv").exists()
 
     @pytest.mark.parametrize("seed", range(1, 7))
     def test_a_huge_finite_step_is_no_divergence(self, seed):

@@ -351,6 +351,31 @@ class TestForward:
         with pytest.raises(ValueError):
             model.forward(params, np.zeros((1, 1, cfg.height, cfg.width, cfg.features)))
 
+    @pytest.mark.parametrize("head", [4, 6])
+    def test_finite_params_whose_logits_overflow_diverge(self, head):
+        # saturated trunks times head weights of 1e307 overflow the logits
+        # of the aux head (section 4) or the primary head (section 6)
+        cfg = small_model_config(hidden1=32, hidden2=32)
+        model = TwoHeadModel(cfg)
+        params = model.init_params(0)
+        sections = model._unpack(params)
+        for weight, bias in (sections[0:2], sections[2:4]):
+            weight[...] = 0.0
+            bias[...] = 10.0
+        sections[head][...] = 1e307
+        assert np.all(np.isfinite(params))
+        image = np.zeros((cfg.height, cfg.width, cfg.features))
+
+        def head_terms(rows, cache):
+            raise AssertionError("the loss of non-finite logits was reached")
+
+        # the harness runs every pass under this errstate
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match="non-finite logits"):
+                model.forward(params, image)
+            with pytest.raises(DivergenceError, match="non-finite logits"):
+                model.value_and_grad(params, [image], head_terms, dropout_seed=1)
+
     @pytest.mark.parametrize(
         "cfg, chunk", [(ModelConfig(), 7), (ModelConfig(height=32, width=32), 1)]
     )

@@ -44,10 +44,11 @@ class TestSoftmax:
         np.testing.assert_allclose(softmax(np.zeros(4)), np.full(4, 0.25), atol=1e-15)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            softmax(np.array([np.nan, 0.0]))
-        with pytest.raises(ValueError):
-            softmax(np.array([np.inf, 0.0]))
+        for fn in (softmax, softmax_parts):
+            with pytest.raises(ValueError, match="non-finite logits"):
+                fn(np.array([np.nan, 0.0]))
+            with pytest.raises(ValueError, match="non-finite logits"):
+                fn(np.array([np.inf, 0.0]))
 
     def test_rejects_single_entry(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ class TestInit:
     def test_uniform_exact(self):
         d = init_uniform(10)
         np.testing.assert_array_equal(d.weights, np.full(10, 0.1))
-        assert d.epoch == 1
         assert len(d) == 10
 
     def test_rejects_empty(self):
@@ -24,7 +23,6 @@ class TestUpdate:
         scores = np.array([0.7, 0.1, 0.1, 0.1])
         d2 = update(d, scores)
         np.testing.assert_allclose(d2.weights, 0.5 * (d.weights + scores), atol=1e-12)
-        assert d2.epoch == 2
 
     def test_sum_preserved_over_many_updates(self):
         # renormalization after every update keeps the simplex invariant
@@ -66,15 +64,11 @@ class TestUpdate:
 class TestDistributionValidation:
     def test_rejects_negative_weights(self):
         with pytest.raises(ValueError):
-            SampleDistribution(weights=np.array([1.1, -0.1]), epoch=1)
+            SampleDistribution(weights=np.array([1.1, -0.1]))
 
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError):
-            SampleDistribution(weights=np.array([0.6, 0.6]), epoch=1)
-
-    def test_rejects_zero_epoch(self):
-        with pytest.raises(ValueError):
-            SampleDistribution(weights=np.array([0.5, 0.5]), epoch=0)
+            SampleDistribution(weights=np.array([0.6, 0.6]))
 
 
 class TestDraw:
@@ -88,13 +82,13 @@ class TestDraw:
     def test_degenerate_distribution(self):
         w = np.zeros(6)
         w[3] = 1.0
-        d = SampleDistribution(weights=w, epoch=2)
+        d = SampleDistribution(weights=w)
         idx = draw(d, np.random.default_rng(0), 200)
         assert np.all(idx == 3)
 
     def test_zero_weight_never_drawn(self):
         w = np.array([0.5, 0.0, 0.5, 0.0])
-        d = SampleDistribution(weights=w, epoch=1)
+        d = SampleDistribution(weights=w)
         idx = draw(d, np.random.default_rng(1), 2000)
         assert not np.any(idx == 1)
         assert not np.any(idx == 3)
@@ -102,7 +96,7 @@ class TestDraw:
     def test_empirical_frequency_tracks_weights(self):
         rng = np.random.default_rng(2)
         w = np.array([0.5, 0.25, 0.125, 0.125])
-        d = SampleDistribution(weights=w, epoch=1)
+        d = SampleDistribution(weights=w)
         idx = draw(d, rng, 200_000)
         freq = np.bincount(idx, minlength=4) / idx.size
         np.testing.assert_allclose(freq, w, atol=5e-3)

@@ -6,7 +6,6 @@ import pytest
 from boostadapt.model import ModelConfig, TwoHeadModel, fuse_predictions
 from boostadapt.numerics import kl_pointwise, softmax
 from boostadapt.uncertainty import (
-    ScoreVector,
     entropy_image,
     kl_variance_image,
     normalize_scores,
@@ -14,9 +13,6 @@ from boostadapt.uncertainty import (
 )
 
 from helpers import random_image, small_model_config
-
-PRED = np.zeros((2, 1, 1), dtype=np.int64)  # fused predictions of two 1x1 images
-
 
 def brute_force_kl_image(primary, aux):
     """Independent oracle: explicit loops over pixels and classes."""
@@ -85,16 +81,6 @@ class TestImageScores:
             kl_variance_image(np.ones((2, 2, 3)) / 3, np.ones((2, 3, 3)) / 3)
 
 
-class TestScoreVector:
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            ScoreVector(values=np.array([0.1, -0.2]), criterion="kl-variance", predicted=PRED)
-        with pytest.raises(ValueError):
-            ScoreVector(values=np.array([0.1, np.nan]), criterion="kl-variance", predicted=PRED)
-        with pytest.raises(ValueError):
-            ScoreVector(values=np.array([0.1]), criterion="bogus", predicted=PRED[:1])
-
-
 class TestScoreDataset:
     def test_matches_per_image_calls(self):
         cfg = ModelConfig(classes=3)
@@ -103,8 +89,7 @@ class TestScoreDataset:
         params = model.init_params(0)
         images = [random_image(rng, cfg) for _ in range(model.chunk + 3)]
         for criterion in ("kl-variance", "entropy"):
-            sv = score_dataset(model, params, images, criterion)
-            assert sv.criterion == criterion
+            values, predicted = score_dataset(model, params, images, criterion)
             for i, image in enumerate(images):
                 primary, aux = model.forward(params, image)
                 want = (
@@ -112,9 +97,9 @@ class TestScoreDataset:
                     if criterion == "kl-variance"
                     else entropy_image(primary)
                 )
-                assert sv.values[i] == want
+                assert values[i] == want
                 assert np.array_equal(
-                    sv.predicted[i], np.argmax(fuse_predictions(primary, aux), axis=-1)
+                    predicted[i], np.argmax(fuse_predictions(primary, aux), axis=-1)
                 )
 
     def test_rejects_unknown_criterion_and_empty(self):
@@ -151,6 +136,11 @@ class TestNormalizeScores:
         with pytest.raises(ValueError):
             normalize_scores(scores, temperature=0.0)
 
-    def test_accepts_score_vector(self):
-        sv = ScoreVector(values=np.array([0.1, 0.4]), criterion="entropy", predicted=PRED)
-        np.testing.assert_allclose(normalize_scores(sv), softmax(sv.values), atol=1e-15)
+    def test_takes_the_scorers_values(self):
+        model = TwoHeadModel(small_model_config())
+        rng = np.random.default_rng(8)
+        images = [random_image(rng, model.config) for _ in range(3)]
+        values, _ = score_dataset(model, model.init_params(0), images, "entropy")
+        np.testing.assert_array_equal(normalize_scores(values), softmax(values))
+        with pytest.raises(ValueError):
+            normalize_scores(values[None])

@@ -20,14 +20,16 @@ batches of 4 drawn from 8 source and 8 target images, 2 epochs of 5
 iterations, so the one-image stacks that 16x16 runs never make are hashed
 too.
 
-Each preset also runs four forced divergences, so the state a diverging
+Each preset also runs five forced divergences, so the state a diverging
 run persists is hashed too: a regularizer hook returning a NaN loss at
 epoch 1 iteration 3 (``diverge-e1i3``) and at epoch 2 iteration 3
-(``diverge-e2i3``), put in place of ``harness.make_regularizer``;
-``lr0=1e308``, whose loss overflows at warm-up iteration 2
-(``diverge-warmup``); and ``lr0=1e308`` with one iteration per epoch and no
-warm-up, whose epoch-1 step overflows the params that the epoch-end eval
-passes then read, before epoch 2's loss is non-finite
+(``diverge-e2i3``), put in place of ``harness.make_regularizer``; a hook
+whose gradient is -1e308 at the last iteration of epoch 1, which leaves
+finite params whose logits overflow in epoch 2's first training forward
+(``diverge-logits``); ``lr0=1e308``, whose loss overflows at warm-up
+iteration 2 (``diverge-warmup``); and ``lr0=1e308`` with one iteration per
+epoch and no warm-up, whose epoch-1 step overflows the params that the
+epoch-end eval passes then read, before epoch 2's loss is non-finite
 (``diverge-epoch-end``). Every divergence is noted on stderr, and no
 numpy ``RuntimeWarning`` should be.
 
@@ -81,13 +83,16 @@ def digests(root: str) -> list[str]:
     return [f"{digest}  {rel}" for rel, digest in sorted(lines)]
 
 
-def nan_at(call: int):
-    """Regularizer hook with a zero term, except a NaN loss on call ``call``."""
+def term_at(call: int, loss: float, grad: float):
+    """Regularizer hook with a zero term, except a term of ``loss`` and a
+    gradient of ``grad`` everywhere on call ``call``."""
     calls = [0]
 
     def hook(params, images):
         calls[0] += 1
-        return (float("nan") if calls[0] == call else 0.0), np.zeros(params.size)
+        if calls[0] == call:
+            return loss, np.full(params.size, grad)
+        return 0.0, np.zeros(params.size)
 
     return hook
 
@@ -177,8 +182,10 @@ def main(argv: list[str] | None = None) -> int:
                 run(wide(cfg, regularizer), tmp, variant, f"32x32-{regularizer}")
             for epoch in (1, 2):
                 call = (epoch - 1) * cfg.iters_per_epoch + 3
-                with regularized_by(nan_at(call)):
+                with regularized_by(term_at(call, float("nan"), 0.0)):
                     run(cfg, tmp, variant, f"diverge-e{epoch}i3")
+            with regularized_by(term_at(cfg.iters_per_epoch, 0.0, -1e308)):
+                run(cfg, tmp, variant, "diverge-logits")
             run(replace(cfg, lr0=1e308), tmp, variant, "diverge-warmup")
             epoch_end = replace(cfg, iters_per_epoch=1, warmup_epochs=0, lr0=1e308)
             run(epoch_end, tmp, variant, "diverge-epoch-end")
