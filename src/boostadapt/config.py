@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import typing
 from dataclasses import dataclass, field
 from typing import Any
@@ -17,6 +18,7 @@ from typing import Any
 from .data import GEOMETRIES, ShiftConfig
 from .errors import ConfigError, check_finite_fields, is_finite
 from .model import ModelConfig
+from .uncertainty import max_score
 
 SAMPLERS = ("kl-variance", "entropy", "uniform")
 AGGREGATIONS = ("running-mean", "momentum", "ema", "oracle-alpha", "none")
@@ -98,6 +100,13 @@ class ExperimentConfig:
             raise ConfigError("ema_decay must be in (0, 1)")
         if self.softmax_temperature <= 0.0:
             raise ConfigError("softmax_temperature must be positive")
+        # twice the largest score, so the rounding of a score's sums cannot
+        # overflow the division in normalize_scores either
+        if not math.isfinite(2.0 * max_score(self.shift.classes) / self.softmax_temperature):
+            raise ConfigError(
+                f"softmax_temperature {self.softmax_temperature!r} is too small: "
+                "the largest score divided by it overflows"
+            )
         if self.eval_last_k < 1 or self.eval_last_k > self.epochs:
             raise ConfigError("eval_last_k must be in [1, epochs]")
         if self.regularizer not in REGULARIZERS:

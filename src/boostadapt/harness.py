@@ -17,9 +17,9 @@ distribution. Scoring uses the aggregate (the student when aggregation is
 off). All randomness flows through named substreams of the master seed.
 
 The cells of one ablation-suite seed share one ``SharedWork``: the seed's
-domain pair, and a memo of training steps and eval passes keyed by lineage,
-how their inputs were made. A step or pass that several cells reach the same
-way is computed once, and every cell reads the same array.
+domain pair, and a memo of training steps and eval passes keyed by what they
+read. A step or pass that several cells reach on the same inputs is computed
+once, and every cell reads the same array.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ DISTRIBUTIONS_NAME = "distributions.csv"
 SUMMARY_NAME = "summary.csv"
 
 # The fields that reach a training step or an eval pass only through its memo
-# key (the lineage of the sampling distribution, the aggregate or the score
+# key (the sampling distribution's weights, the aggregate's id or the score
 # criterion) or not at all.
 _PER_CELL_FIELDS = (
     "sampler",
@@ -122,17 +122,17 @@ def work_scope(cfg: ExperimentConfig) -> tuple:
 
 class SharedWork:
     """The domain pair of one ``work_scope`` and the training steps and eval
-    passes of its runs, memoized by lineage. Every student, aggregate and
-    sampling distribution a run makes gets an id for how it was made: the
-    chain of steps from the scope's init, the aggregation policy, the scores a
-    distribution was updated with. Runs reach the same id exactly when they
-    make the same thing the same way, and a hit returns the read-only array
-    that the first of them computed, so sharing changes no output bit. What is
-    shared follows from the configs alone, never from two runs' values
-    happening to agree, so a suite's cost does not change with its seed.
-    With ``keep_steps`` off, as it starts, steps are still looked up but no
-    new one is stored: a lone run, and a suite's last cell, can never repeat
-    one. ``data``, when given, must be the pair ``cfg`` makes."""
+    passes of its runs, memoized by what they read. Every student and
+    aggregate a run makes gets an id for how it was made: a student's is the
+    key of the step that made it (``step_how``), naming the whole chain of
+    steps from the scope's init; an aggregate's adds the aggregation policy.
+    A hit returns the read-only array the first run to reach the key
+    computed, so sharing changes no output bit. Steps drawn from equal
+    distributions are shared, equal draws from unequal ones are not, so the
+    work a suite does never hinges on near-uniform draws agreeing. With
+    ``keep_steps`` off, as it starts, steps are still looked up but no new
+    one is stored: a lone run, and a suite's last cell, can never repeat one.
+    ``data``, when given, must be the pair ``cfg`` makes."""
 
     def __init__(self, cfg: ExperimentConfig, data: DomainPair | None = None) -> None:
         shift = data_shift(cfg)
@@ -149,6 +149,10 @@ class SharedWork:
     def lineage(self, *how: object) -> int:
         """The id of what is made ``how``: equal exactly for equal ``how``."""
         return self._ids.setdefault(how, len(self._ids))
+
+    def weights_id(self, weights: np.ndarray) -> int:
+        """The id of a sampling distribution, equal exactly for bit-equal weights."""
+        return self.lineage("weights", weights.tobytes())
 
     def get(
         self, how: tuple, compute: Callable[[], np.ndarray], keep: bool = True
@@ -167,29 +171,27 @@ class SharedWork:
         return made, value
 
 
+# a step's target key when the regularizer hook never reads its images
+UNREAD = "unread"
+
+
 def step_how(
     student: int,
-    dist: int | None,
     lr: float,
     dropout_seed: int,
     source: np.ndarray,
     flips: tuple[bool, ...],
-    target: np.ndarray | None,
+    target: int | str | None,
 ) -> tuple:
     """The ``SharedWork`` key of one step from the params of id ``student``:
-    the distribution's id (None in warm-up), the learning rate and the
-    draws. Lineage, not values: equal draws from different distributions
-    stay apart."""
-    return (
-        "step",
-        student,
-        dist,
-        lr,
-        dropout_seed,
-        source.tobytes(),
-        flips,
-        None if target is None else target.tobytes(),
-    )
+    what it reads, the learning rate, the dropout seed, the source draw and
+    what the target draw reads. ``target`` is the id of the sampling
+    distribution's weights (``SharedWork.weights_id``), None in warm-up (no
+    target term) or ``UNREAD`` when the hook ignores its images. The weights
+    and the sampling stream's position, which the student's chain fixes,
+    make the draw, so equal weights make one step and equal draws from
+    unequal weights two."""
+    return ("step", student, lr, dropout_seed, source.tobytes(), flips, target)
 
 
 def _persist(
@@ -260,11 +262,7 @@ def run_experiment(
     config_echo["variant"] = variant
 
     def sgd_step(
-        student: int,
-        params: np.ndarray,
-        lr: float,
-        dist: sampler.SampleDistribution | None,
-        dist_id: int | None,
+        student: int, params: np.ndarray, lr: float, dist: sampler.SampleDistribution | None
     ) -> tuple[int, np.ndarray]:
         """The id and params of one step from ``params`` (id ``student``) on
         a uniformly drawn source batch, plus the regularizer term of a
@@ -288,7 +286,13 @@ def run_experiment(
                 term = reg(params, [data.target_images[j] for j in target])
             return model.grad_step(params, batch, lr, dropout_seed=seed, term=term)[0]
 
-        how = step_how(student, dist_id, lr, seed, source, flips, target)
+        if dist is None:
+            drawn_from = None
+        elif cfg.regularizer == "none":
+            drawn_from = UNREAD  # the zero hook ignores its images
+        else:
+            drawn_from = work.weights_id(dist.weights)
+        how = step_how(student, lr, seed, source, flips, drawn_from)
         return work.get(how, compute, keep=work.keep_steps)
 
     def confusion(made: int, params: np.ndarray, split: str) -> np.ndarray:
@@ -327,14 +331,11 @@ def run_experiment(
         # source-only warm-up; shares the global poly schedule
         for w_step in range(cfg.warmup_epochs * cfg.iters_per_epoch):
             where = f"warm-up iteration {w_step + 1}"
-            student, params = sgd_step(
-                student, params, poly_lr(step, total_iter, cfg.lr0), None, None
-            )
+            student, params = sgd_step(student, params, poly_lr(step, total_iter, cfg.lr0), None)
             kept = (params, aggregator.AggregateState(params, 1))
             step += 1
 
         dist = sampler.init_uniform(len(data.target_images))
-        dist_id = work.lineage("uniform")
         dist_trace: list[np.ndarray] = []
         agg = aggregator.Aggregator(cfg.aggregation, params, cfg.momentum, cfg.ema_decay)
 
@@ -343,7 +344,7 @@ def run_experiment(
             for i in range(cfg.iters_per_epoch):
                 where = f"epoch {t} iteration {i + 1}"
                 lr = poly_lr(step, total_iter, cfg.lr0)
-                student, params = sgd_step(student, params, lr, dist, dist_id)
+                student, params = sgd_step(student, params, lr, dist)
                 agg.after_step(params)
                 step += 1
 
@@ -367,9 +368,6 @@ def run_experiment(
             mean_score = float(np.mean(scores))
             if cfg.sampler != "uniform":
                 dist = sampler.update(dist, normalize_scores(scores, cfg.softmax_temperature))
-                dist_id = work.lineage(
-                    "update", dist_id, aggregate, criterion, cfg.softmax_temperature
-                )
 
             rows.append(
                 EpochRow(

@@ -10,12 +10,13 @@ distribution.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
 from .model import TwoHeadModel, fuse_predictions
-from .numerics import entropy, kl_pointwise, softmax
+from .numerics import EPS, entropy, kl_pointwise, softmax
 
 CRITERIA = ("kl-variance", "entropy")
 
@@ -55,6 +56,13 @@ def score_dataset(
         values[span] = per_pixel.reshape(len(primary), -1).mean(axis=1)
         predicted[span] = np.argmax(fuse_predictions(primary, aux), axis=-1)
     return values, predicted
+
+
+def max_score(classes: int) -> float:
+    """The largest score either criterion can give: the pixel-mean KL is at
+    most log(1/EPS), because ``kl_pointwise`` clamps q at EPS, and the
+    pixel-mean entropy at most log(classes)."""
+    return max(-math.log(EPS), math.log(classes))
 
 
 def normalize_scores(scores: np.ndarray, temperature: float = 1.0) -> np.ndarray:

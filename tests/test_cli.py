@@ -13,10 +13,12 @@ import pytest
 
 import boostadapt.cli as cli
 from boostadapt.cli import EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_IO, EXIT_OK, cli_main
-from boostadapt.errors import DivergenceError
+from boostadapt.config import experiment_config_from_dict
+from boostadapt.errors import ConfigError, DivergenceError
 from boostadapt.model import TwoHeadModel
 from boostadapt.paramio import load_file
 from boostadapt.report import read_report, read_summary
+from boostadapt.uncertainty import max_score
 
 from helpers import LOGIT_OVERFLOW
 
@@ -219,6 +221,41 @@ class TestRun:
         err = capsys.readouterr().err
         assert "softmax_temperature=" in err and "is not finite" in err
         assert not out.exists()
+
+    def test_overflowing_temperature_exits_2(self, tmp_path, config_path, capsys):
+        # 1e-310 used to overflow the first score normalization: exit 1
+        cfg = json.loads(Path(config_path).read_text())
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({**cfg, "softmax_temperature": 1e-310}))
+        out = tmp_path / "results"
+        assert cli_main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: softmax_temperature 1e-310 is too small" in err
+        assert not out.exists()
+
+    def test_smallest_accepted_temperature_completes(self, tmp_path, config_path):
+        cfg = json.loads(Path(config_path).read_text())
+
+        def accepted(temperature):
+            try:
+                experiment_config_from_dict({**cfg, "softmax_temperature": temperature})
+            except ConfigError:
+                return False
+            return True
+
+        # the floats around twice the largest score over the largest float
+        near = [2.0 * max_score(cfg["shift"]["classes"]) / np.finfo(float).max]
+        for _ in range(8):
+            near = [float(np.nextafter(near[0], 0.0)), *near, float(np.nextafter(near[-1], 1.0))]
+        verdicts = [accepted(t) for t in near]
+        assert not verdicts[0] and verdicts == sorted(verdicts) and verdicts[-1]
+        smallest = near[verdicts.index(True)]
+        path = tmp_path / "smallest.json"
+        path.write_text(json.dumps({**cfg, "softmax_temperature": smallest}))
+        out = tmp_path / "results"
+        assert cli_main(["run", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        report = read_report(str(out / "report.csv"))
+        assert len(report.rows) == cfg["epochs"]
 
     def test_negative_seed_is_config_error(self, tmp_path, config_path, capsys):
         rc = cli_main(["run", "--config", config_path, "--seed", "-1", "--out", str(tmp_path)])

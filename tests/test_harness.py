@@ -15,6 +15,7 @@ from boostadapt import sampler as sampler_mod
 from boostadapt.config import (
     ABLATION_VARIANTS,
     AGGREGATIONS,
+    REGULARIZERS,
     VARIANT_PRESETS,
     ExperimentConfig,
     apply_variant,
@@ -23,6 +24,7 @@ from boostadapt.config import (
 from boostadapt.data import generate_domain_pair
 from boostadapt.errors import ConfigError, DivergenceError
 from boostadapt.harness import (
+    UNREAD,
     SharedWork,
     data_shift,
     dataset_confusion,
@@ -103,6 +105,49 @@ def counting_steps(monkeypatch):
 
     monkeypatch.setattr(TwoHeadModel, "grad_step", counting)
     return computed
+
+
+def lone_step_inputs(monkeypatch, cfg):
+    """What each step of a lone run of ``cfg`` reads, in order, as
+    ``sampler.draw``, the regularizer hook and ``grad_step`` see it: (lr,
+    dropout seed, source batch bytes, what the target draw read, target
+    batch bytes). The draw reads the sampling distribution's weights; under
+    the zero hook, which ignores its images, the draw is "unread". Both
+    target entries are None in warm-up."""
+    steps, target = [], [None, None]
+    grad_step, make_regularizer, draw = (
+        TwoHeadModel.grad_step,
+        harness_mod.make_regularizer,
+        sampler_mod.draw,
+    )
+
+    def spy_draw(dist, rng, count):
+        target[0] = dist.weights.tobytes()
+        return draw(dist, rng, count)
+
+    def spy_step(model, params, batch, lr, dropout_seed=None, term=None):
+        source = b"".join(image.tobytes() + labels.tobytes() for image, labels in batch)
+        steps.append((lr, dropout_seed, source, *target))
+        target[:] = [None, None]
+        return grad_step(model, params, batch, lr, dropout_seed=dropout_seed, term=term)
+
+    def spy_regularizer(model, kind, weight):
+        hook = make_regularizer(model, kind, weight)
+
+        def spy(params, images):
+            if kind == "none":
+                target[0] = "unread"
+            target[1] = b"".join(i.tobytes() for i in images)
+            return hook(params, images)
+
+        return spy
+
+    with monkeypatch.context() as patched:
+        patched.setattr(sampler_mod, "draw", spy_draw)
+        patched.setattr(TwoHeadModel, "grad_step", spy_step)
+        patched.setattr(harness_mod, "make_regularizer", spy_regularizer)
+        run_experiment(cfg)
+    return steps
 
 
 def suite_digests(tmp_path, monkeypatch, cfg, variants):
@@ -614,6 +659,17 @@ class TestAblationSuite:
         assert len([name for name in got if name.startswith("runs")]) == 3 * 9 * 2
         assert got == separate
 
+    @pytest.mark.parametrize("regularizer", REGULARIZERS)
+    def test_every_preset_writes_the_bytes_of_separate_runs(
+        self, tmp_path, monkeypatch, regularizer
+    ):
+        cfg = small_experiment_config(
+            epochs=3, iters_per_epoch=3, eval_last_k=1, regularizer=regularizer
+        )
+        got, separate = suite_digests(tmp_path, monkeypatch, cfg, sorted(VARIANT_PRESETS))
+        assert len([name for name in got if name.startswith("runs")]) == 3 * 9 * 2
+        assert got == separate
+
     def test_each_seed_warms_up_once(self, monkeypatch):
         warmup_steps = []
         grad_step = TwoHeadModel.grad_step
@@ -710,25 +766,27 @@ class TestSharedWork:
             computed.append(np.ones(3))
             return computed[-1]
 
+        uniform = sampler_mod.init_uniform(8)
+        tilted = sampler_update(uniform, normalize_scores(np.linspace(0.0, 0.1, 8)))
+        assert not np.array_equal(uniform.weights, tilted.weights)
         base = dict(
             student=0,
-            dist=1,
             lr=0.1,
             dropout_seed=7,
             source=np.array([0, 1]),
             flips=(False, False),
-            target=np.array([2, 3]),
+            target=work.weights_id(uniform.weights),
         )
         changes = [
             {},
             {"student": 2},
-            {"dist": None},
             {"lr": 0.2},
             {"dropout_seed": 8},
             {"source": np.array([1, 0])},
             {"flips": (True, False)},
-            {"target": np.array([3, 2])},
+            {"target": work.weights_id(tilted.weights)},
             {"target": None},
+            {"target": UNREAD},
         ]
         for change in changes:
             work.get(step_how(**{**base, **change}), compute)
@@ -740,13 +798,20 @@ class TestSharedWork:
         ids = {work.get(step_how(**{**base, **c}), compute)[0] for c in changes}
         assert len(ids) == len(changes)
 
+        # equal weights are one distribution, bit for bit, whatever array
+        # holds them; equal draws from the two distributions stay two steps
+        assert work.weights_id(uniform.weights.copy()) == base["target"]
+        draws = [sampler_mod.draw(d, np.random.default_rng(3), 2) for d in (uniform, tilted)]
+        assert np.array_equal(*draws)
+        assert work.weights_id(tilted.weights) != base["target"]
+
     def test_failed_step_stores_nothing(self):
         work = SharedWork(small_experiment_config())
 
         def diverge():
             raise DivergenceError("injected")
 
-        how = step_how(0, None, 0.1, 7, np.array([0, 1]), (False, False), None)
+        how = step_how(0, 0.1, 7, np.array([0, 1]), (False, False), None)
         with pytest.raises(DivergenceError):
             work.get(how, diverge)
         assert work.values == {}
@@ -774,49 +839,80 @@ class TestSharedWork:
         assert np.array_equal(shared.student, alone.student)
         assert np.array_equal(shared.aggregate, alone.aggregate)
 
-    def test_sharing_follows_the_configs_not_the_values(self, monkeypatch):
-        # Under near-uniform sampling a sampler cell often draws what a
-        # uniform cell draws and computes its very student; a memo keyed by
-        # value would share that on some seeds and not on others.
+    @pytest.mark.parametrize("regularizer", REGULARIZERS)
+    def test_a_step_is_computed_once_per_distinct_inputs(self, monkeypatch, regularizer):
+        # Oracle: a step's params are a function of what every step up to it
+        # read, its target draw read through the distribution's weights, so
+        # a seed's suite computes one step per distinct prefix of its cells'
+        # lone-run step inputs.
+        cfg = small_experiment_config(
+            epochs=3, iters_per_epoch=3, eval_last_k=1, regularizer=regularizer
+        )
+        presets = sorted(VARIANT_PRESETS)
+        epoch_1_end = (cfg.warmup_epochs + 1) * cfg.iters_per_epoch
+        alike_draws = False
+        for seed in range(1, 7):
+            seed_cfg = dataclasses.replace(cfg, seed=seed)
+            cells = {
+                name: lone_step_inputs(monkeypatch, apply_variant(seed_cfg, name))
+                for name in presets
+            }
+            prefixes = {
+                tuple(step[:4] for step in steps[: k + 1])
+                for steps in cells.values()
+                for k in range(len(steps))
+            }
+            computed = counting_steps(monkeypatch)
+            run_ablation_suite(seed_cfg, seeds=[seed], variants=presets)
+            assert computed == [len(prefixes)], seed
+
+            def drawn(steps, k):
+                return tuple(step[:3] + step[4:] for step in steps[: k + 1])
+
+            uniform = {
+                drawn(steps, k)
+                for name, steps in cells.items()
+                if VARIANT_PRESETS[name]["sampler"] == "uniform"
+                for k in range(len(steps))
+            }
+            alike_draws |= any(
+                drawn(steps, k) in uniform
+                for name, steps in cells.items()
+                if VARIANT_PRESETS[name]["sampler"] != "uniform"
+                for k in range(epoch_1_end, len(steps))
+            )
+        # a sampler cell drew past epoch 1 just what the uniform cells drew,
+        # and those steps were counted apart: what a suite computes does not
+        # hinge on near-uniform draws happening to agree
+        assert alike_draws
+
+    def test_a_none_seed_computes_one_runs_steps(self, monkeypatch):
+        # the zero hook ignores the target draw, and every cell draws its
+        # source batches and dropout seeds alike, so all 9 cells share steps
+        cfg = small_experiment_config(epochs=3, iters_per_epoch=3, eval_last_k=1)
+        cfg = dataclasses.replace(cfg, regularizer="none")
         computed = counting_steps(monkeypatch)
         computed.clear()
-        cfg = small_experiment_config(epochs=3, iters_per_epoch=3, eval_last_k=1)
-        for seed in range(1, 7):
+        for seed in (1, 2):
             computed.append(0)
             run_ablation_suite(cfg, seeds=[seed], variants=sorted(VARIANT_PRESETS))
-        # warm-up and epoch 1 once; from epoch 2 one student for the uniform
-        # cells, one for the five whose epoch-1 aggregate is the student
-        # (oracle-alpha's included), and one each for ema and full-entropy;
-        # from epoch 3 one for the uniform cells and one for each other cell
-        n = cfg.iters_per_epoch
-        assert computed == [cfg.warmup_epochs * n + n + 4 * n + 8 * n] * 6
-
-        # cells apart in their temperature only share the warm-up and epoch 1
-        computed.clear()
-        for seed in range(1, 7):
-            computed.append(0)
-            cell = dataclasses.replace(cfg, seed=seed)
-            work = SharedWork(cell)
-            work.keep_steps = True
-            for temperature in (1.0, 0.5):
-                cell = dataclasses.replace(cell, softmax_temperature=temperature)
-                run_experiment(cell, shared=work)
-        assert computed == [cfg.warmup_epochs * n + n + 2 * 2 * n] * 6
+        assert computed == [(cfg.warmup_epochs + cfg.epochs) * cfg.iters_per_epoch] * 2
 
     def test_a_scopes_last_cell_stores_no_steps(self, monkeypatch):
         works = recording_works(monkeypatch)
         cfg = small_experiment_config(epochs=2)
         run_ablation_suite(cfg, seeds=[1], variants=["baseline", "sampler-only"])
         assert len(works) == 1 and not works[0].keep_steps
+        n = cfg.iters_per_epoch
         # the baseline's steps, none of the sampler cell's own epoch-2 steps:
         # the sampler cell again finds the warm-up and epoch 1 and computes
         # epoch 2
         computed = counting_steps(monkeypatch)
         cell = dataclasses.replace(apply_variant(cfg, "sampler-only"), seed=1)
         run_experiment(cell, shared=works[0])
-        assert computed == [cfg.iters_per_epoch]
+        assert computed == [n]
         work = SharedWork(cfg)
-        how = step_how(0, None, 0.1, 7, np.array([0, 1]), (False, False), None)
+        how = step_how(0, 0.1, 7, np.array([0, 1]), (False, False), None)
         made = work.get(how, lambda: np.ones(3), keep=work.keep_steps)
         assert work.values == {} and not made[1].flags.writeable
 

@@ -44,6 +44,17 @@ each regularizer into ``ablation/<regularizer>/``, so what the suite's cells
 share (a domain pair and the steps and eval passes they reach alike) is
 hashed under every hook: its ``summary.csv`` and every
 ``runs/<variant>-seed<seed>/`` file.
+
+The first line printed names the seed and the build (python, numpy and the
+BLAS library), because another build may round differently. ``DIGESTS.txt``
+at the repository root holds the seed-1 output, and
+
+    PYTHONPATH=src python3 tools/artifact_digests.py --check DIGESTS.txt
+
+reruns the tool at that file's seed and exits 1, naming every path whose
+hash moved, appeared or went missing. On another build it says so and
+exits 1 without running anything: the file proves nothing there. A change
+that moves bytes on purpose regenerates the file in the same commit.
 """
 
 from __future__ import annotations
@@ -53,6 +64,7 @@ import contextlib
 import hashlib
 import json
 import os
+import platform
 import sys
 import tempfile
 from dataclasses import replace
@@ -166,11 +178,9 @@ def from_export(cfg: ExperimentConfig, root: str, variant: str) -> None:
                     raise RuntimeError(f"boostadapt {' '.join(argv)} failed")
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, required=True, help="master seed of every run")
-    args = parser.parse_args(argv)
-    base = replace(ExperimentConfig(seed=args.seed), dump_distributions=True)
+def all_digests(seed: int) -> list[str]:
+    """The digest lines of every file the runs at ``seed`` write."""
+    base = replace(ExperimentConfig(seed=seed), dump_distributions=True)
     with tempfile.TemporaryDirectory() as tmp:
         for variant in sorted(VARIANT_PRESETS):
             cfg = apply_variant(base, variant)
@@ -193,11 +203,55 @@ def main(argv: list[str] | None = None) -> int:
         for regularizer in REGULARIZERS:
             harness.run_ablation_suite(
                 replace(base, regularizer=regularizer),
-                [args.seed, args.seed + 1],
+                [seed, seed + 1],
                 variants=sorted(VARIANT_PRESETS),
                 out_dir=os.path.join(tmp, "ablation", regularizer),
             )
-        print("\n".join(digests(tmp)))
+        return digests(tmp)
+
+
+def header(seed: int) -> str:
+    """The first output line: the seed, and the python, numpy and BLAS build
+    the digests were made with."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return (
+        f"# seed {seed}; python {platform.python_version()}, numpy {np.__version__}, "
+        f"blas {blas.get('name')} {blas.get('version')}"
+    )
+
+
+def check(path: str) -> int:
+    """Rerun at the seed of the digest file ``path`` and compare: 0 when
+    every line is equal, 1 naming each path that differs, or when ``path``
+    was made on another build."""
+    with open(path) as fh:
+        first, *lines = fh.read().splitlines()
+    seed = int(first.removeprefix("# seed ").split(";")[0])
+    if first != header(seed):
+        print(f"build differs, nothing checked: {path} has {first!r}, here {header(seed)!r}")
+        return 1
+    want, got = (
+        {rel: digest for digest, rel in (line.split("  ", 1) for line in found)}
+        for found in (lines, all_digests(seed))
+    )
+    moved = [
+        f"{'moved' if rel in got else 'missing'}: {rel}"
+        for rel in sorted(want)
+        if got.get(rel) != want[rel]
+    ] + [f"new: {rel}" for rel in sorted(set(got) - set(want))]
+    print("\n".join(moved) if moved else f"{len(want)} digests unchanged at seed {seed}")
+    return 1 if moved else 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--seed", type=int, help="master seed of every run")
+    mode.add_argument("--check", metavar="FILE", help="rerun at FILE's seed and compare")
+    args = parser.parse_args(argv)
+    if args.check:
+        return check(args.check)
+    print("\n".join([header(args.seed), *all_digests(args.seed)]))
     return 0
 
 
