@@ -8,7 +8,6 @@ predictions are markedly more stable than any single snapshot's.
 """
 
 from .aggregator import (
-    AggregateState,
     adaboost_alpha,
     update_ema,
     update_momentum,

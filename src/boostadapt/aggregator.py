@@ -13,60 +13,31 @@ the labeled-oracle ablation (weights log((1-e)/e)/2, normalized to sum 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import paramio
 from .config import AGGREGATIONS
 
 
-@dataclass(frozen=True)
-class AggregateState:
-    mean_params: np.ndarray
-    count: int
-
-    def __post_init__(self) -> None:
-        if self.mean_params.ndim != 1:
-            raise ValueError("aggregate params must be a 1-d vector")
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
+def update_running_mean(mean: np.ndarray, params: np.ndarray, t: int) -> np.ndarray:
+    """The mean of ``t`` snapshots from ``mean``, that of the first t - 1,
+    and ``params``, the t-th."""
+    return ((t - 1) * mean + params) / t
 
 
-def _check_next(state: AggregateState, params: np.ndarray) -> None:
-    if params.shape != state.mean_params.shape:
-        raise ValueError(
-            f"snapshot length {params.shape} does not match aggregate "
-            f"{state.mean_params.shape}"
-        )
-
-
-def update_running_mean(state: AggregateState, params: np.ndarray) -> AggregateState:
-    """Online running mean over all snapshots so far."""
-    _check_next(state, params)
-    t = state.count + 1
-    mean = ((t - 1) * state.mean_params + params) / t
-    return AggregateState(mean_params=mean, count=t)
-
-
-def update_momentum(state: AggregateState, params: np.ndarray, momentum: float) -> AggregateState:
+def update_momentum(mean: np.ndarray, params: np.ndarray, momentum: float) -> np.ndarray:
     """Fixed-coefficient blend: mean <- m * mean + (1 - m) * theta."""
     if not 0.0 < momentum < 1.0:
         raise ValueError("momentum must be in (0, 1)")
-    _check_next(state, params)
-    mean = momentum * state.mean_params + (1.0 - momentum) * params
-    return AggregateState(mean_params=mean, count=state.count + 1)
+    return momentum * mean + (1.0 - momentum) * params
 
 
-def update_ema(state: AggregateState, params: np.ndarray, decay: float) -> AggregateState:
+def update_ema(mean: np.ndarray, params: np.ndarray, decay: float) -> np.ndarray:
     """Per-iteration exponential moving average (teacher-style baseline)."""
     if not 0.0 < decay < 1.0:
         raise ValueError("decay must be in (0, 1)")
-    if params.shape != state.mean_params.shape:
-        raise ValueError("parameter length does not match aggregate")
-    mean = decay * state.mean_params + (1.0 - decay) * params
-    return AggregateState(mean_params=mean, count=state.count + 1)
+    return decay * mean + (1.0 - decay) * params
 
 
 def adaboost_alpha(error: float) -> float:
@@ -100,9 +71,11 @@ def weighted_combine(snapshots: Sequence[np.ndarray], alphas: Sequence[float]) -
 class Aggregator:
     """One run's aggregation policy, one of ``config.AGGREGATIONS``: the
     training loop calls ``after_step`` after every adaptation iteration and
-    ``after_epoch`` at every epoch end. ``state`` starts as a copy of the
-    student entering adaptation (the EMA teacher's start); ``snapshots``
-    holds every epoch's."""
+    ``after_epoch`` at every epoch end. ``params`` is the aggregate, which
+    starts as a copy of the student entering adaptation (the EMA teacher's
+    start), and ``count`` the number of models folded into it, the
+    aggregate file's sequence field; ``snapshots`` holds every epoch's
+    student."""
 
     def __init__(self, policy: str, start_params: np.ndarray, momentum: float, ema_decay: float):
         if policy not in AGGREGATIONS:
@@ -110,13 +83,15 @@ class Aggregator:
         self.policy = policy
         self.momentum = momentum
         self.ema_decay = ema_decay
-        self.state = AggregateState(mean_params=start_params.copy(), count=1)
+        self.params = start_params.copy()
+        self.count = 1
         self.snapshots: list[np.ndarray] = []
         self._errors: list[float] = []
 
     def after_step(self, params: np.ndarray) -> None:
         if self.policy == "ema":
-            self.state = update_ema(self.state, params, self.ema_decay)
+            self.params = update_ema(self.params, params, self.ema_decay)
+            self.count += 1
 
     def after_epoch(self, params: np.ndarray, heldout_error: Callable[[], float]) -> np.ndarray:
         """Fold in the student's epoch-end snapshot ``params``; return the
@@ -125,25 +100,24 @@ class Aggregator:
         asked for under ``oracle-alpha`` only."""
         self.snapshots.append(params)
         t = len(self.snapshots)
+        if self.policy == "ema":
+            return self.params
         if self.policy == "oracle-alpha":
             self._errors.append(float(np.clip(heldout_error(), 1e-6, 1.0 - 1e-6)))
-        if self.policy == "none" or (t == 1 and self.policy != "ema"):
+        if self.policy == "none" or t == 1:
             # the aggregate of one snapshot is its own array, so it keeps the
             # student's lineage
-            self.state = AggregateState(params, t)
+            self.params = params
         elif self.policy == "running-mean":
-            self.state = update_running_mean(self.state, params)
+            self.params = update_running_mean(self.params, params, t)
         elif self.policy == "momentum":
-            self.state = update_momentum(self.state, params, self.momentum)
+            self.params = update_momentum(self.params, params, self.momentum)
         elif self.policy == "oracle-alpha":
             alphas = [adaboost_alpha(e) for e in self._errors]
             if min(alphas) <= 0.0:
                 # boosting weights degenerate when a snapshot is no better
                 # than chance; fall back to the plain mean
                 alphas = [1.0] * t
-            self.state = AggregateState(weighted_combine(self.snapshots, alphas), t)
-        return self.state.mean_params
-
-
-def save_aggregate(path: str, state: AggregateState) -> None:
-    paramio.save_snapshot(path, state.mean_params, paramio.ROLE_AGGREGATE, state.count)
+            self.params = weighted_combine(self.snapshots, alphas)
+        self.count = t
+        return self.params

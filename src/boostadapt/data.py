@@ -197,7 +197,7 @@ def import_domain_pair(in_dir: str) -> DomainPair:
         raise FormatError(f"cannot read dataset manifest {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FormatError(f"malformed dataset manifest {path}: {exc}") from exc
-    if manifest.get("format") != _MANIFEST_FORMAT:
+    if not isinstance(manifest, dict) or manifest.get("format") != _MANIFEST_FORMAT:
         raise FormatError(f"{path} is not a domain-pair manifest")
     if manifest.get("version") != _MANIFEST_VERSION:
         raise FormatError(f"unsupported manifest version {manifest.get('version')}")
@@ -217,7 +217,7 @@ def import_domain_pair(in_dir: str) -> DomainPair:
                 blob = fh.read()
             arr = np.frombuffer(blob, dtype=entry["dtype"])
             digest = entry["sha256"]
-        except (KeyError, TypeError, OSError, ValueError) as exc:
+        except (KeyError, TypeError, OSError, ValueError, OverflowError) as exc:
             raise FormatError(f"bad array entry {name!r} in {path}: {exc}") from exc
         if hashlib.sha256(blob).hexdigest() != digest:
             raise FormatError(f"array file {fpath} does not match the sha256 in {path}")
@@ -227,7 +227,8 @@ def import_domain_pair(in_dir: str) -> DomainPair:
             raise FormatError(
                 f"array {name!r} has {arr.size} values, expected shape {shape}"
             )
-        kind = np.int64 if entry["dtype"] == "<i8" else np.float64
+        # each field's dtype whatever the file's: the model takes float64 images
+        kind = np.float64 if "images" in name else np.int64
         loaded[name] = arr.astype(kind).reshape(shape)
     for name in ("source_images", "target_images"):
         if not np.all(np.isfinite(loaded[name])):

@@ -197,16 +197,20 @@ def step_how(
 def _persist(
     out_dir: str,
     student: np.ndarray,
-    aggregate_state: aggregator.AggregateState,
+    aggregate: np.ndarray,
+    count: int,
     rows: Sequence[EpochRow],
     config_echo: dict,
 ) -> None:
-    """Student seq is the number of completed epochs, ``len(rows)``."""
+    """Student seq is the number of completed epochs, ``len(rows)``;
+    aggregate seq the ``count`` of models folded into it."""
     os.makedirs(out_dir, exist_ok=True)
     paramio.save_snapshot(
         os.path.join(out_dir, STUDENT_NAME), student, paramio.ROLE_STUDENT, len(rows)
     )
-    aggregator.save_aggregate(os.path.join(out_dir, AGGREGATE_NAME), aggregate_state)
+    paramio.save_snapshot(
+        os.path.join(out_dir, AGGREGATE_NAME), aggregate, paramio.ROLE_AGGREGATE, count
+    )
     write_report(
         os.path.join(out_dir, REPORT_NAME),
         MetricsReport(rows=tuple(rows), config_echo=config_echo),
@@ -275,16 +279,13 @@ def run_experiment(
         seed = int(dropout_rng.integers(0, 2**62))
 
         def compute() -> np.ndarray:
-            batch = [
-                (data.source_images[i][:, ::-1], data.source_labels[i][:, ::-1])
-                if flip
-                else (data.source_images[i], data.source_labels[i])
-                for i, flip in zip(source, flips)
-            ]
-            term = None
-            if target is not None:
-                term = reg(params, [data.target_images[j] for j in target])
-            return model.grad_step(params, batch, lr, dropout_seed=seed, term=term)[0]
+            images = data.source_images[source]
+            labels = data.source_labels[source]
+            flipped = np.array(flips, dtype=bool)
+            images[flipped] = images[flipped, :, ::-1]
+            labels[flipped] = labels[flipped, :, ::-1]
+            term = None if target is None else reg(params, data.target_images[target])
+            return model.grad_step(params, images, labels, lr, dropout_seed=seed, term=term)[0]
 
         if dist is None:
             drawn_from = None
@@ -324,15 +325,16 @@ def run_experiment(
         return work.get(("score", aggregate, criterion), compute)[1]
 
     rows: list[EpochRow] = []
-    # what a divergence persists: kept after each warm-up step and epoch end
-    kept = (params, aggregator.AggregateState(params, 1))
+    # what a divergence persists, (student, aggregate, its count): kept after
+    # each warm-up step and epoch end
+    kept = (params, params, 1)
     student = work.lineage("init")
     try:
         # source-only warm-up; shares the global poly schedule
         for w_step in range(cfg.warmup_epochs * cfg.iters_per_epoch):
             where = f"warm-up iteration {w_step + 1}"
             student, params = sgd_step(student, params, poly_lr(step, total_iter, cfg.lr0), None)
-            kept = (params, aggregator.AggregateState(params, 1))
+            kept = (params, params, 1)
             step += 1
 
         dist = sampler.init_uniform(len(data.target_images))
@@ -382,7 +384,7 @@ def run_experiment(
                     mean_vkl=mean_score,
                 )
             )
-            kept = (params, agg.state)
+            kept = (params, agg.params, agg.count)
     except DivergenceError as exc:
         if out_dir:
             _persist(out_dir, *kept, rows, config_echo)
@@ -390,13 +392,13 @@ def run_experiment(
 
     report = MetricsReport(rows=tuple(rows), config_echo=config_echo)
     if out_dir:
-        _persist(out_dir, params, agg.state, rows, config_echo)
+        _persist(out_dir, params, agg.params, agg.count, rows, config_echo)
         if cfg.dump_distributions:
             _write_distributions(os.path.join(out_dir, DISTRIBUTIONS_NAME), dist_trace)
     return RunResult(
         report=report,
         student=params,
-        aggregate=agg.state.mean_params,
+        aggregate=agg.params,
         distribution=dist,
         distributions=tuple(dist_trace),
         snapshots=tuple(agg.snapshots),

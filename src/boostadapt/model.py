@@ -16,7 +16,7 @@ weights and bias.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -214,14 +214,17 @@ class TwoHeadModel:
         mask_p = (rng.random(self.config.hidden2) < keep).astype(np.float64) / keep
         return mask_a, mask_p
 
-    def _check_image(self, image: np.ndarray, stack: bool = False) -> np.ndarray:
-        """One (H, W, F) image, or with ``stack`` also an (N, H, W, F) stack."""
+    def _check_images(self, images: np.ndarray) -> np.ndarray:
+        """An (N, H, W, F) float64 image stack."""
         c = self.config
-        image = np.asarray(image, dtype=np.float64)
+        images = np.asarray(images)
         shape = (c.height, c.width, c.features)
-        if image.shape[-3:] != shape or image.ndim not in ((3, 4) if stack else (3,)):
-            raise ValueError(f"expected image of shape {shape}, got {image.shape}")
-        return image
+        if images.ndim != 4 or images.shape[1:] != shape or images.dtype != np.float64:
+            raise ValueError(
+                f"expected a float64 stack of images of shape {shape}, "
+                f"got {images.dtype} {images.shape}"
+            )
+        return images
 
     def _forward_cache(
         self,
@@ -306,21 +309,20 @@ class TwoHeadModel:
             axis=1,
         )
 
-    def forward(self, params: np.ndarray, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Eval-mode per-pixel class probabilities, (primary, aux), each (H, W, C).
-
-        ``image`` may also be an (N, H, W, F) stack, giving (N, H, W, C) maps
-        equal bit for bit to N single-image calls. Train mode, with head
-        masks, runs only inside ``value_and_grad``.
+    def forward(self, params: np.ndarray, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Eval-mode per-pixel class probabilities of an (N, H, W, F) image
+        stack, (primary, aux), each (N, H, W, C), equal bit for bit to N
+        one-image calls. Train mode, with head masks, runs only inside
+        ``value_and_grad``.
         """
         c = self.config
-        image = self._check_image(image, stack=True)
-        cache = self._forward_cache(params, image, (None, None))
-        shape = (*image.shape[:-3], c.height, c.width, c.classes)
+        images = self._check_images(images)
+        cache = self._forward_cache(params, images, (None, None))
+        shape = (len(images), c.height, c.width, c.classes)
         return cache.probs_p.reshape(shape), cache.probs_a.reshape(shape)
 
     def forward_chunks(
-        self, params: np.ndarray, images: Sequence[np.ndarray]
+        self, params: np.ndarray, images: np.ndarray
     ) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
         """Eval-mode ``forward`` over a dataset, ``chunk`` images at a
         time: yields (slice of ``images``, primary, aux) per chunk, so the
@@ -330,36 +332,26 @@ class TwoHeadModel:
             primary, aux = self.forward(params, images[span])
             yield span, primary, aux
 
-    def _check_labels(self, labels: np.ndarray) -> np.ndarray:
-        c = self.config
-        labels = np.asarray(labels)
-        if labels.shape != (c.height, c.width):
-            raise ValueError(
-                f"expected label map of shape {(c.height, c.width)}, got {labels.shape}"
-            )
-        if labels.min() < 0 or labels.max() >= c.classes:
-            raise IndexError("label out of class range")
-        return labels.astype(np.int64)
-
     def value_and_grad(
         self,
         params: np.ndarray,
-        images: Sequence[np.ndarray],
+        images: np.ndarray,
         head_terms: Callable[
             [np.ndarray, _ForwardCache], tuple[np.ndarray, np.ndarray, np.ndarray | None]
         ],
         dropout_seed: int | None = None,
         targets: np.ndarray | None = None,
     ) -> tuple[float, np.ndarray]:
-        """Sum of per-image loss terms over ``images`` and its gradient.
+        """Sum of per-image loss terms over an (N, H, W, F) image stack and
+        its gradient.
 
         The one training forward/backward loop, and the one place that
         decides which inputs are equal. ``targets``, if given, is an array
         with one row per image of the per-image data the loss reads (e.g.
-        one-hot labels). Two positions hold one input when their checked
-        image bytes and their ``targets`` rows are equal; each input is
-        forwarded and back-propagated once, at its first position. Inputs
-        go ``chunk`` at a time as stacks; for each stack,
+        one-hot labels). Two positions hold one input when their image
+        bytes and their ``targets`` rows are equal; each input is forwarded
+        and back-propagated once, at its first position. Inputs go
+        ``chunk`` at a time as stacks; for each stack,
         ``head_terms(rows, cache)`` gets the stack's ``targets`` rows (empty
         rows without ``targets``) and the stacked cache, and returns their
         per-image loss terms, (m,), and dloss/dlogits of the primary and aux
@@ -372,16 +364,16 @@ class TwoHeadModel:
         """
         if not np.all(np.isfinite(params)):
             raise DivergenceError("non-finite parameters")
+        images = self._check_images(images)
         n = len(images)
         targets = np.empty((n, 0)) if targets is None else targets
         if len(targets) != n:
             raise ValueError(f"{len(targets)} targets rows for {n} images")
-        checked = [self._check_image(image) for image in images]
         # the first position that holds each position's input
         seen: dict[tuple[bytes, bytes], int] = {}
         first = [
             seen.setdefault((x.tobytes(), row.tobytes()), i)
-            for i, (x, row) in enumerate(zip(checked, targets))
+            for i, (x, row) in enumerate(zip(images, targets))
         ]
         distinct = np.array(list(seen.values()), dtype=np.intp)
         masks = self._head_masks(dropout_seed)
@@ -389,7 +381,7 @@ class TwoHeadModel:
         grads = np.zeros((n, self.param_count))
         for lo in range(0, len(distinct), self.chunk):
             at = distinct[lo : lo + self.chunk]
-            cache = self._forward_cache(params, np.stack([checked[i] for i in at]), masks)
+            cache = self._forward_cache(params, images[at], masks)
             at_terms, dlogits_p, dlogits_a = head_terms(targets[at], cache)
             terms[at] = at_terms
             grads[at] = self._backward(cache, dlogits_p, dlogits_a)
@@ -403,20 +395,31 @@ class TwoHeadModel:
     def loss_and_grad(
         self,
         params: np.ndarray,
-        batch: Sequence[tuple[np.ndarray, np.ndarray]],
+        images: np.ndarray,
+        labels: np.ndarray,
         dropout_seed: int | None = None,
     ) -> tuple[float, np.ndarray]:
-        """Mean over batch of (pixel-mean primary CE + aux_loss_weight * aux CE)
-        and its gradient. The CE is log-softmax at the label, read off the
-        forward's shifted logits and normalizer: the bits of ``log_softmax``
-        without a second pass over the logits."""
-        if len(batch) == 0:
+        """Mean over an (N, H, W, F) image stack and its (N, H, W) label
+        stack of (pixel-mean primary CE + aux_loss_weight * aux CE), and its
+        gradient. The CE is log-softmax at the label, read off the forward's
+        shifted logits and normalizer: the bits of ``log_softmax`` without a
+        second pass over the logits."""
+        c = self.config
+        labels = np.asarray(labels)
+        if labels.ndim != 3 or labels.shape[1:] != (c.height, c.width):
+            raise ValueError(
+                f"expected a stack of label maps of shape {(c.height, c.width)}, "
+                f"got {labels.shape}"
+            )
+        n = len(labels)
+        if n == 0:
             raise ValueError("empty batch")
-        lam = self.config.aux_loss_weight
-        n_pix = self.config.height * self.config.width
-        n = len(batch)
-        flats = np.stack([self._check_labels(labels).reshape(-1) for _, labels in batch])
-        hot = flats[..., None] == np.arange(self.config.classes)  # (n, H*W, C) one-hot
+        if labels.min() < 0 or labels.max() >= c.classes:
+            raise IndexError("label out of class range")
+        lam = c.aux_loss_weight
+        n_pix = c.height * c.width
+        # (n, H*W, C) one-hot; value_and_grad checks one row per image
+        hot = labels.reshape(n, n_pix, 1) == np.arange(c.classes)
 
         def head_terms(onehot: np.ndarray, cache: _ForwardCache) -> tuple[np.ndarray, ...]:
             m = len(onehot)
@@ -431,22 +434,23 @@ class TwoHeadModel:
             dlogits_a = lam * (cache.probs_a - onehot) / (n_pix * n)
             return (ce_p + lam * ce_a) / n, dlogits_p, dlogits_a
 
-        images = [image for image, _ in batch]
         return self.value_and_grad(params, images, head_terms, dropout_seed, hot)
 
     def grad_step(
         self,
         params: np.ndarray,
-        batch: Sequence[tuple[np.ndarray, np.ndarray]],
+        images: np.ndarray,
+        labels: np.ndarray,
         lr: float,
         dropout_seed: int | None = None,
         term: tuple[float, np.ndarray] | None = None,
     ) -> tuple[np.ndarray, float]:
-        """One SGD step on a labeled batch plus an optional (loss, gradient)
-        ``term``, e.g. a regularizer's. Returns (new params, total loss)."""
+        """One SGD step on a labeled image stack plus an optional (loss,
+        gradient) ``term``, e.g. a regularizer's. Returns (new params, total
+        loss)."""
         if lr < 0.0:
             raise ValueError("lr must be >= 0")
-        loss, grad = self.loss_and_grad(params, batch, dropout_seed)
+        loss, grad = self.loss_and_grad(params, images, labels, dropout_seed)
         if term is not None:
             term_loss, term_grad = term
             if term_grad.shape != (self.param_count,):

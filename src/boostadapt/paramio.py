@@ -4,7 +4,7 @@ Layout, all little-endian:
 
     bytes 0..4    magic b"ABST"
     u32           format version (currently 1)
-    u64           parameter count P
+    u64           parameter count P >= 1
     [u8, u32]     only in role-tagged snapshot files: role (0 = student,
                   1 = aggregate) and a sequence field (epoch for students,
                   snapshot count for aggregates; needed to resume the
@@ -49,6 +49,8 @@ def _payload(params: np.ndarray) -> tuple[np.ndarray, bytes]:
     vec = np.ascontiguousarray(np.asarray(params, dtype=np.float64))
     if vec.ndim != 1:
         raise ValueError("parameter vector must be 1-d")
+    if vec.size == 0:
+        raise ValueError("parameter vector is empty")
     return vec, _HEADER.pack(MAGIC, VERSION, vec.size)
 
 
@@ -99,6 +101,8 @@ def load_file(path: str) -> SnapshotInfo:
         raise SnapshotFormatError(
             f"corrupt snapshot file {path}: unsupported version {version}"
         )
+    if count == 0:
+        raise SnapshotFormatError(f"corrupt snapshot file {path}: no parameters")
     rest = blob[_HEADER.size :]
     plain_size = 8 * count
     tagged_size = _ROLE_FIELDS.size + plain_size

@@ -1,34 +1,35 @@
 """Unlabeled-target regularizer hooks.
 
 The training loop treats the regularizer as an opaque term: given the current
-parameters and the drawn target batch it returns (loss, gradient) and the
-gradient is added to the labeled-source gradient. The default hook returns an
-exact zero so the base method trains on source supervision alone. The
-entropy-minimization and self-training hooks are each a ``head_terms``
-callback on ``TwoHeadModel.value_and_grad``, the model's one forward/backward
-loop: for each stack of images they give the per-image loss terms and the
-primary head's dloss/dlogits from an eval-mode forward (the aux head gets
-none), and like that loop they raise ``DivergenceError`` on non-finite
-parameters. Their terms read only the cache, so they pass no ``targets``:
-an image the sampler drew twice into one batch is forwarded once.
+parameters and the drawn (N, H, W, F) target image stack it returns (loss,
+gradient), and the gradient is added to the labeled-source gradient. The
+default hook returns an exact zero so the base method trains on source
+supervision alone. The entropy-minimization and self-training hooks are
+each a ``head_terms`` callback on ``TwoHeadModel.value_and_grad``, the
+model's one forward/backward loop: for each stack of images they give the
+per-image loss terms and the primary head's dloss/dlogits from an eval-mode
+forward (the aux head gets none), and like that loop they raise
+``DivergenceError`` on non-finite parameters. Their terms read only the
+cache, so they pass no ``targets``: an image the sampler drew twice into
+one batch is forwarded once.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .model import TwoHeadModel
 from .numerics import entropy
 
-RegularizerHook = Callable[[np.ndarray, Sequence[np.ndarray]], tuple[float, np.ndarray]]
+RegularizerHook = Callable[[np.ndarray, np.ndarray], tuple[float, np.ndarray]]
 
 
 def zero_regularizer(model: TwoHeadModel) -> RegularizerHook:
     """No-op target term: loss 0, gradient exactly zero."""
 
-    def hook(params: np.ndarray, images: Sequence[np.ndarray]) -> tuple[float, np.ndarray]:
+    def hook(params: np.ndarray, images: np.ndarray) -> tuple[float, np.ndarray]:
         return 0.0, np.zeros(model.param_count)
 
     return hook
@@ -43,7 +44,7 @@ def entropy_min_regularizer(model: TwoHeadModel, weight: float) -> RegularizerHo
         raise ValueError("weight must be >= 0")
     n_pix = model.config.height * model.config.width
 
-    def hook(params: np.ndarray, images: Sequence[np.ndarray]) -> tuple[float, np.ndarray]:
+    def hook(params: np.ndarray, images: np.ndarray) -> tuple[float, np.ndarray]:
         n = len(images)
 
         def head_terms(_, cache) -> tuple[np.ndarray, np.ndarray, None]:
@@ -68,7 +69,7 @@ def self_training_regularizer(model: TwoHeadModel, weight: float) -> Regularizer
         raise ValueError("weight must be >= 0")
     n_pix = model.config.height * model.config.width
 
-    def hook(params: np.ndarray, images: Sequence[np.ndarray]) -> tuple[float, np.ndarray]:
+    def hook(params: np.ndarray, images: np.ndarray) -> tuple[float, np.ndarray]:
         n = len(images)
 
         def head_terms(_, cache) -> tuple[np.ndarray, np.ndarray, None]:

@@ -87,6 +87,13 @@ def random_labels(rng: np.random.Generator, cfg: ModelConfig) -> np.ndarray:
     return rng.integers(0, cfg.classes, (cfg.height, cfg.width))
 
 
+def random_batch(rng: np.random.Generator, cfg: ModelConfig, n: int = 1) -> tuple:
+    """An (n, H, W, F) image stack and its (n, H, W) label stack, drawn
+    image then label map, position by position."""
+    pairs = [(random_image(rng, cfg), random_labels(rng, cfg)) for _ in range(n)]
+    return tuple(np.stack(column) for column in zip(*pairs))
+
+
 def per_position(monkeypatch) -> None:
     """Make ``TwoHeadModel.value_and_grad`` run one call per batch position
     and sum the calls in order, so no two positions are ever merged: the
@@ -95,9 +102,11 @@ def per_position(monkeypatch) -> None:
 
     def every_position(model, params, images, head_terms, dropout_seed=None, targets=None):
         total, grad = 0.0, np.zeros(model.param_count)
-        for i, image in enumerate(images):
+        for i in range(len(images)):
             rows = None if targets is None else targets[i : i + 1]
-            term, row = value_and_grad(model, params, [image], head_terms, dropout_seed, rows)
+            term, row = value_and_grad(
+                model, params, images[i : i + 1], head_terms, dropout_seed, rows
+            )
             total += term
             grad += row
         return total, grad

@@ -12,9 +12,9 @@ import os
 import numpy as np
 import pytest
 
-from boostadapt.aggregator import AggregateState, update_running_mean
+from boostadapt.aggregator import update_running_mean
 from boostadapt.cli import EXIT_IO, cli_main
-from boostadapt.config import ABLATION_VARIANTS, ExperimentConfig
+from boostadapt.config import ABLATION_VARIANTS, ExperimentConfig, apply_variant
 from boostadapt.harness import run_ablation_suite, run_experiment
 from boostadapt.metrics import trajectory_stats
 from boostadapt.model import ModelConfig, TwoHeadModel
@@ -27,6 +27,7 @@ from boostadapt.paramio import (
     save_params,
     save_snapshot,
 )
+from boostadapt.report import read_report
 from boostadapt.sampler import SampleDistribution, init_uniform, update
 from boostadapt.uncertainty import kl_variance_image
 
@@ -47,20 +48,28 @@ def announce(capsys):
 
 
 @pytest.fixture(scope="module")
-def default_runs():
-    """One full default-config run per seed; shared by the stability checks."""
-    runs = {}
-    for seed in ACCEPT_SEEDS:
-        cfg = dataclasses.replace(ExperimentConfig(), seed=seed)
-        runs[seed] = run_experiment(cfg)
-    return runs
-
-
-@pytest.fixture(scope="module")
 def ablation_table(tmp_path_factory):
     out = tmp_path_factory.mktemp("ablation")
     rows = run_ablation_suite(ExperimentConfig(), list(ABLATION_SEEDS), out_dir=str(out))
     return rows, out
+
+
+@pytest.fixture(scope="module")
+def default_runs(ablation_table):
+    """The report rows of one full default-config run per seed; shared by
+    the stability checks. The default config is the full-variance preset,
+    so the ablation suite's reports hold seeds 1-5, read back exactly; only
+    the other seeds are trained here."""
+    assert apply_variant(ExperimentConfig(), "full-variance") == ExperimentConfig()
+    _, out = ablation_table
+    runs = {}
+    for seed in ACCEPT_SEEDS:
+        if seed in ABLATION_SEEDS:
+            report = read_report(str(out / "runs" / f"full-variance-seed{seed}" / "report.csv"))
+        else:
+            report = run_experiment(dataclasses.replace(ExperimentConfig(), seed=seed)).report
+        runs[seed] = report.rows
+    return runs
 
 
 def test_criterion_01_distribution_invariants(announce):
@@ -93,13 +102,13 @@ def test_criterion_02_online_mean_equals_batch_mean(announce):
         t_len = int(rng.integers(1, 51))
         p_len = int(rng.integers(1, 2001))
         seq = rng.normal(scale=rng.uniform(0.01, 100.0), size=(t_len, p_len))
-        state = AggregateState(seq[0], 1)
+        mean = seq[0]
         scale = float(np.sqrt(np.mean(seq**2)))  # rel error is against data scale
         for t in range(1, t_len + 1):
             if t > 1:
-                state = update_running_mean(state, seq[t - 1])
+                mean = update_running_mean(mean, seq[t - 1], t)
             batch = seq[:t].mean(axis=0)
-            err = np.max(np.abs(state.mean_params - batch) / np.maximum(np.abs(batch), scale))
+            err = np.max(np.abs(mean - batch) / np.maximum(np.abs(batch), scale))
             worst = max(worst, float(err))
     ok = worst < 1e-12
     announce(2, "online-mean-equivalence", ok,
@@ -147,9 +156,10 @@ def test_criterion_04_gradients_match_finite_differences(announce):
         labels = rng.integers(0, cfg.classes, size=(cfg.height, cfg.width))
         # even trials exercise eval mode, odd trials a frozen dropout draw
         dropout_seed = None if trial % 2 == 0 else 1000 + trial
-        _, grad = model.loss_and_grad(params, [(image, labels)], dropout_seed=dropout_seed)
+        images, label_maps = image[None], labels[None]
+        _, grad = model.loss_and_grad(params, images, label_maps, dropout_seed=dropout_seed)
         fd = finite_difference_gradient(
-            lambda p: model.loss_and_grad(p, [(image, labels)], dropout_seed=dropout_seed)[0],
+            lambda p: model.loss_and_grad(p, images, label_maps, dropout_seed=dropout_seed)[0],
             params,
             eps=1e-5,
         )
@@ -164,7 +174,7 @@ def test_criterion_04_gradients_match_finite_differences(announce):
 def test_criterion_05_aggregate_stability(default_runs, announce):
     stu_stds, agg_stds = [], []
     for seed in ACCEPT_SEEDS:
-        rows = default_runs[seed].report.rows
+        rows = default_runs[seed]
         stu = [r.student_tgt_miou for r in rows]
         agg = [r.aggregate_tgt_miou for r in rows]
         stu_stds.append(trajectory_stats(stu, 5)[1])
@@ -177,8 +187,8 @@ def test_criterion_05_aggregate_stability(default_runs, announce):
 
 
 def test_criterion_06_aggregation_helps_final_miou(default_runs, announce):
-    stu = [default_runs[s].report.rows[-1].student_tgt_miou for s in ACCEPT_SEEDS]
-    agg = [default_runs[s].report.rows[-1].aggregate_tgt_miou for s in ACCEPT_SEEDS]
+    stu = [default_runs[s][-1].student_tgt_miou for s in ACCEPT_SEEDS]
+    agg = [default_runs[s][-1].aggregate_tgt_miou for s in ACCEPT_SEEDS]
     gap = float(np.mean(agg) - np.mean(stu))
     ok = gap >= 0.0
     announce(6, "aggregation-helps", ok,

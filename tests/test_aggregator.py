@@ -7,12 +7,9 @@ import numpy as np
 import pytest
 
 import boostadapt
-from boostadapt import paramio
 from boostadapt.aggregator import (
-    AggregateState,
     Aggregator,
     adaboost_alpha,
-    save_aggregate,
     update_ema,
     update_momentum,
     update_running_mean,
@@ -32,40 +29,19 @@ class TestRunningMean:
         for trial in range(20):
             dim = int(rng.integers(3, 50))
             snaps = make_snapshots(rng, int(rng.integers(2, 30)), dim)
-            state = AggregateState(snaps[0], 1)
+            mean = snaps[0]
             for t, snap in enumerate(snaps[1:], start=2):
-                state = update_running_mean(state, snap)
+                mean = update_running_mean(mean, snap, t)
                 batch = np.sum(snaps[:t], axis=0) / t
-                err = np.abs(state.mean_params - batch) / np.maximum(np.abs(batch), 1e-12)
+                err = np.abs(mean - batch) / np.maximum(np.abs(batch), 1e-12)
                 assert err.max() < 1e-12
-                assert state.count == t
 
     def test_single_snapshot_is_identity(self):
         rng = np.random.default_rng(1)
         snap = rng.normal(0, 1, 7)
         agg = Aggregator("running-mean", np.zeros(7), momentum=0.5, ema_decay=0.5)
         assert agg.after_epoch(snap, lambda: 0.5) is snap
-        assert agg.state.count == 1
-
-    def test_length_mismatch(self):
-        state = AggregateState(np.zeros(3), 1)
-        updates = (
-            lambda p: update_running_mean(state, p),
-            lambda p: update_momentum(state, p, 0.5),
-            lambda p: update_ema(state, p, 0.5),
-        )
-        for update in updates:
-            for bad in (np.zeros(4), np.zeros((3, 1))):
-                with pytest.raises(ValueError, match="does not match"):
-                    update(bad)
-
-    def test_aggregate_is_a_vector_of_at_least_one_snapshot(self):
-        # with the epoch gone from a snapshot, these checks and the shape
-        # check are what an aggregate still enforces on its inputs
-        with pytest.raises(ValueError, match="1-d vector"):
-            AggregateState(np.zeros((3, 1)), 1)
-        with pytest.raises(ValueError, match="count must be"):
-            AggregateState(np.zeros(3), 0)
+        assert agg.params is snap and agg.count == 1
 
 
 class TestBaselines:
@@ -73,35 +49,39 @@ class TestBaselines:
         rng = np.random.default_rng(3)
         snaps = make_snapshots(rng, 5, 6)
         for m in (0.9, 0.5):
-            state = AggregateState(snaps[0], 1)
+            mean = snaps[0]
             expected = snaps[0].copy()
             for snap in snaps[1:]:
-                state = update_momentum(state, snap, m)
+                mean = update_momentum(mean, snap, m)
                 expected = m * expected + (1 - m) * snap
-                np.testing.assert_allclose(state.mean_params, expected, atol=1e-12)
+                np.testing.assert_allclose(mean, expected, atol=1e-12)
 
     def test_momentum_range(self):
-        state = AggregateState(np.zeros(3), 1)
         for bad in (0.0, 1.0, -0.5):
             with pytest.raises(ValueError):
-                update_momentum(state, np.ones(3), bad)
+                update_momentum(np.zeros(3), np.ones(3), bad)
+
+    def test_ema_range(self):
+        for bad in (0.0, 1.0, -0.5):
+            with pytest.raises(ValueError):
+                update_ema(np.zeros(3), np.ones(3), bad)
 
     def test_ema_recurrence(self):
         rng = np.random.default_rng(4)
-        state = AggregateState(mean_params=rng.normal(0, 1, 5), count=1)
-        expected = state.mean_params.copy()
+        mean = rng.normal(0, 1, 5)
+        expected = mean.copy()
         for _ in range(20):
             p = rng.normal(0, 1, 5)
-            state = update_ema(state, p, 0.99)
+            mean = update_ema(mean, p, 0.99)
             expected = 0.99 * expected + 0.01 * p
-            np.testing.assert_allclose(state.mean_params, expected, atol=1e-12)
+            np.testing.assert_allclose(mean, expected, atol=1e-12)
 
     def test_ema_constant_stream_converges(self):
         target = np.full(4, 2.5)
-        state = AggregateState(mean_params=np.zeros(4), count=1)
+        mean = np.zeros(4)
         for _ in range(2000):
-            state = update_ema(state, target, 0.99)
-        np.testing.assert_allclose(state.mean_params, target, atol=1e-6)
+            mean = update_ema(mean, target, 0.99)
+        np.testing.assert_allclose(mean, target, atol=1e-6)
 
 
 class TestBoostingWeights:
@@ -148,43 +128,29 @@ class TestBoostingWeights:
             weighted_combine([], [])
 
 
-class TestSerialization:
-    def test_aggregate_round_trip_bit_identical(self, tmp_path):
-        rng = np.random.default_rng(8)
-        state = AggregateState(rng.normal(0, 1, 33), 1)
-        path = str(tmp_path / "agg.abst")
-        save_aggregate(path, state)
-        loaded = paramio.load_file(path)
-        assert loaded.role == paramio.ROLE_AGGREGATE
-        assert loaded.seq == state.count
-        np.testing.assert_array_equal(
-            loaded.params.view(np.uint64), state.mean_params.view(np.uint64)
-        )
-
-
 def reference_states(policy, start, epochs, errors, momentum, decay):
-    """The per-epoch aggregate states the module functions give, chained by
-    hand: the oracle for ``Aggregator``."""
-    state = AggregateState(mean_params=start.copy(), count=1)
+    """The per-epoch (aggregate, count) the module functions give, chained
+    by hand: the oracle for ``Aggregator``."""
+    mean, count = start.copy(), 1
     snaps, out = [], []
     for t, steps in enumerate(epochs, start=1):
         for p in steps:
             if policy == "ema":
-                state = update_ema(state, p, decay)
+                mean, count = update_ema(mean, p, decay), count + 1
         snap = steps[-1].copy()
         snaps.append(snap)
         if policy == "running-mean":
-            state = AggregateState(snap, 1) if t == 1 else update_running_mean(state, snap)
+            mean, count = (snap if t == 1 else update_running_mean(mean, snap, t)), t
         elif policy == "momentum":
-            state = AggregateState(snap, 1) if t == 1 else update_momentum(state, snap, momentum)
+            mean, count = (snap if t == 1 else update_momentum(mean, snap, momentum)), t
         elif policy == "oracle-alpha":
             alphas = [adaboost_alpha(e) for e in errors[:t]]
             if min(alphas) <= 0.0:
                 alphas = [1.0] * t
-            state = AggregateState(weighted_combine(snaps, alphas), t)
+            mean, count = weighted_combine(snaps, alphas), t
         elif policy == "none":
-            state = AggregateState(snap, t)
-        out.append(state)
+            mean, count = snap, t
+        out.append((mean, count))
     return out
 
 
@@ -207,17 +173,17 @@ class TestAggregator:
                 return self.ERRORS[t - 1]
 
             params = agg.after_epoch(steps[-1].copy(), heldout_error)
-            assert params is agg.state.mean_params
-            states.append(agg.state)
+            assert params is agg.params
+            states.append((agg.params, agg.count))
         want = reference_states(policy, start, epochs, self.ERRORS, 0.7, 0.9)
         return agg, states, want, asked
 
     @pytest.mark.parametrize("policy", AGGREGATIONS)
     def test_matches_the_module_function_chain(self, policy):
         agg, states, want, _ = self._run(policy, np.random.default_rng(9))
-        for got, ref in zip(states, want, strict=True):
-            assert np.array_equal(got.mean_params, ref.mean_params)
-            assert got.count == ref.count
+        for (got, count), (ref, ref_count) in zip(states, want, strict=True):
+            assert np.array_equal(got, ref)
+            assert count == ref_count
         assert len(agg.snapshots) == 3
 
     @pytest.mark.parametrize("policy", AGGREGATIONS)
@@ -229,8 +195,8 @@ class TestAggregator:
     def test_starts_as_a_copy_of_the_student(self, policy):
         start = np.random.default_rng(11).normal(0, 1, 5)
         agg = Aggregator(policy, start, momentum=0.5, ema_decay=0.5)
-        assert np.array_equal(agg.state.mean_params, start) and agg.state.count == 1
-        assert agg.state.mean_params is not start
+        assert np.array_equal(agg.params, start) and agg.count == 1
+        assert agg.params is not start
         assert agg.snapshots == []
 
     @pytest.mark.parametrize("policy", AGGREGATIONS)

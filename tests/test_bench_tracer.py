@@ -3,7 +3,8 @@
 ``bench/tracer.py`` wraps package callables by name with ``getattr``, so a
 name that the package renames or deletes breaks ``bench/run.py --trace 1``.
 This runs the tracer over a tiny suite of every preset and checks that it
-reports every per-layer metric ``BENCHMARK.json`` declares.
+reports every per-layer metric ``BENCHMARK.json`` declares, and that its
+image counts read the image stacks the model and the hooks are given.
 """
 
 import json
@@ -33,3 +34,8 @@ def test_tracer_reports_every_declared_per_layer_metric(tmp_path, monkeypatch):
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     wanted = {m["name"] for m in declared if not m["name"].startswith(WORKER_METRICS)}
     assert wanted and wanted - metrics.keys() == set()
+    # the tracer counts a call's images as the length of its image argument,
+    # so every training call and every hook call counts one full batch
+    for name in ("model.loss_and_grad", "regularizers.hook"):
+        assert metrics[f"{name}.calls"] > 0
+        assert metrics[f"{name}.images"] == metrics[f"{name}.calls"] * cfg.batch_size, name

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -16,11 +17,21 @@ from boostadapt.cli import EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_IO, EXIT_OK, cli_m
 from boostadapt.config import experiment_config_from_dict
 from boostadapt.errors import ConfigError, DivergenceError
 from boostadapt.model import TwoHeadModel
-from boostadapt.paramio import load_file
+from boostadapt.paramio import MAGIC, ROLE_AGGREGATE, VERSION, load_file
 from boostadapt.report import read_report, read_summary
 from boostadapt.uncertainty import max_score
 
 from helpers import LOGIT_OVERFLOW
+
+
+def reshaped(name, shape):
+    """A manifest edit that sets array ``name``'s shape entry to ``shape``."""
+
+    def edit(manifest):
+        manifest["arrays"][name]["shape"] = shape
+        return manifest
+
+    return edit
 
 
 @pytest.fixture
@@ -122,9 +133,9 @@ class TestRun:
         calls = []
         loss_and_grad = TwoHeadModel.loss_and_grad
 
-        def nan_on_second_call(model, params, batch, dropout_seed=None):
+        def nan_on_second_call(model, params, images, labels, dropout_seed=None):
             calls.append(None)
-            loss, grad = loss_and_grad(model, params, batch, dropout_seed)
+            loss, grad = loss_and_grad(model, params, images, labels, dropout_seed)
             return (float("nan") if len(calls) == 2 else loss), grad
 
         monkeypatch.setattr(TwoHeadModel, "loss_and_grad", nan_on_second_call)
@@ -273,17 +284,32 @@ class TestRun:
         )
         assert rc == EXIT_IO
 
-    def test_manifest_shape_of_another_config_exits_4(self, tmp_path, config_path, capsys):
-        # the fixture's 6 source images of 8 x 8 x 3 have the size of 6 x 8 x 24 x 1
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            # the fixture's 6 source images of 8 x 8 x 3 have the size of 6 x 8 x 24 x 1
+            (
+                reshaped("source_images", [6, 8, 24, 1]),
+                "has shape (6, 8, 24, 1), its config makes (6, 8, 8, 3)",
+            ),
+            # json.load reads Infinity, which no int holds
+            (reshaped("source_labels", [6, 8, math.inf]), "bad array entry 'source_labels'"),
+            # valid JSON, but not an object
+            (lambda manifest: [], "is not a domain-pair manifest"),
+        ],
+        ids=["shape-of-another-config", "infinite-shape", "not-an-object"],
+    )
+    def test_bad_manifest_exits_4(self, tmp_path, config_path, capsys, edit, message):
         data_dir = tmp_path / "data"
         assert cli_main(["gen-data", "--config", config_path, "--out", str(data_dir)]) == EXIT_OK
         manifest = json.loads((data_dir / "manifest.json").read_text())
-        manifest["arrays"]["source_images"]["shape"] = [6, 8, 24, 1]
-        (data_dir / "manifest.json").write_text(json.dumps(manifest))
+        (data_dir / "manifest.json").write_text(json.dumps(edit(manifest)))
         out = tmp_path / "results"
+        capsys.readouterr()
         argv = ["run", "--config", config_path, "--data", str(data_dir), "--out", str(out)]
         assert cli_main(argv) == EXIT_IO
-        assert "has shape (6, 8, 24, 1), its config makes (6, 8, 8, 3)" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and message in err and err.count("\n") == 1
         assert not out.exists()
 
 
@@ -334,6 +360,17 @@ class TestInspect:
         capsys.readouterr()
         assert cli_main(["inspect", "--snapshot", path]) == EXIT_IO
         assert "corrupt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("role", ["plain", "aggregate"])
+    def test_zero_parameter_file_exits_4(self, tmp_path, capsys, role):
+        # a header that counts no parameters, with or without role fields
+        tag = b"" if role == "plain" else struct.pack("<BI", ROLE_AGGREGATE, 1)
+        path = tmp_path / "empty.abst"
+        path.write_bytes(struct.pack("<4sIQ", MAGIC, VERSION, 0) + tag)
+        assert cli_main(["inspect", "--snapshot", str(path)]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"i/o error: corrupt snapshot file {path}: no parameters\n"
 
     def test_missing_file_exits_4(self, tmp_path):
         assert cli_main(["inspect", "--snapshot", str(tmp_path / "no.abst")]) == EXIT_IO

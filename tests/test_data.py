@@ -141,6 +141,24 @@ class TestExportImport:
             assert a.dtype == b.dtype
             np.testing.assert_array_equal(a, b)
 
+    def test_imported_arrays_take_their_fields_dtypes(self, tmp_path):
+        # an export whose image file holds integers still loads float64
+        # images, and its labels stay int64
+        pair = generate_domain_pair(small_shift_config(seed=11))
+        out = tmp_path / "data"
+        export_domain_pair(pair, str(out))
+        ints = np.rint(pair.source_images * 4).astype("<i8")
+        (out / "source_images.bin").write_bytes(ints.tobytes())
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["arrays"]["source_images"].update(
+            dtype="<i8", sha256=hashlib.sha256(ints.tobytes()).hexdigest()
+        )
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        loaded = import_domain_pair(str(out))
+        assert loaded.source_images.dtype == np.float64
+        assert np.array_equal(loaded.source_images, ints)
+        assert loaded.source_labels.dtype == np.int64
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FormatError):
             import_domain_pair(str(tmp_path))

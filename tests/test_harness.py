@@ -99,9 +99,9 @@ def counting_steps(monkeypatch):
     computed = [0]
     grad_step = TwoHeadModel.grad_step
 
-    def counting(model, params, batch, lr, dropout_seed=None, term=None):
+    def counting(model, params, images, labels, lr, dropout_seed=None, term=None):
         computed[-1] += 1
-        return grad_step(model, params, batch, lr, dropout_seed=dropout_seed, term=term)
+        return grad_step(model, params, images, labels, lr, dropout_seed, term)
 
     monkeypatch.setattr(TwoHeadModel, "grad_step", counting)
     return computed
@@ -125,11 +125,11 @@ def lone_step_inputs(monkeypatch, cfg):
         target[0] = dist.weights.tobytes()
         return draw(dist, rng, count)
 
-    def spy_step(model, params, batch, lr, dropout_seed=None, term=None):
-        source = b"".join(image.tobytes() + labels.tobytes() for image, labels in batch)
+    def spy_step(model, params, images, labels, lr, dropout_seed=None, term=None):
+        source = b"".join(x.tobytes() + y.tobytes() for x, y in zip(images, labels))
         steps.append((lr, dropout_seed, source, *target))
         target[:] = [None, None]
-        return grad_step(model, params, batch, lr, dropout_seed=dropout_seed, term=term)
+        return grad_step(model, params, images, labels, lr, dropout_seed, term)
 
     def spy_regularizer(model, kind, weight):
         hook = make_regularizer(model, kind, weight)
@@ -482,9 +482,9 @@ class TestDivergenceHandling:
         seen = []
         loss_and_grad = TwoHeadModel.loss_and_grad
 
-        def nan_on_second_call(model, params, batch, dropout_seed=None):
+        def nan_on_second_call(model, params, images, labels, dropout_seed=None):
             seen.append(params)
-            loss, grad = loss_and_grad(model, params, batch, dropout_seed)
+            loss, grad = loss_and_grad(model, params, images, labels, dropout_seed)
             return (float("nan") if len(seen) == 2 else loss), grad
 
         monkeypatch.setattr(TwoHeadModel, "loss_and_grad", nan_on_second_call)
@@ -524,6 +524,19 @@ class TestArtifacts:
         assert dist_lines[0] == "epoch,index,weight"
         assert len(dist_lines) == 1 + cfg.epochs * cfg.shift.target_count
 
+    @pytest.mark.parametrize("aggregation", AGGREGATIONS)
+    def test_aggregate_file_holds_the_aggregate_and_its_count(self, tmp_path, aggregation):
+        # the sequence field counts the models folded in: the student
+        # entering adaptation and every step's under ema, every epoch's
+        # snapshot otherwise
+        cfg = small_experiment_config(epochs=2, aggregation=aggregation)
+        out = str(tmp_path / "run")
+        res = run_experiment(cfg, out_dir=out)
+        aggregate = load_file(os.path.join(out, "aggregate.abst"))
+        count = 1 + cfg.epochs * cfg.iters_per_epoch if aggregation == "ema" else cfg.epochs
+        assert aggregate.role == ROLE_AGGREGATE and aggregate.seq == count
+        assert aggregate.params.tobytes() == res.aggregate.tobytes()
+
     def test_distribution_weights_round_trip_bit_exact(self, tmp_path):
         cfg = small_experiment_config(epochs=2, dump_distributions=True)
         out = str(tmp_path / "run")
@@ -556,9 +569,9 @@ class TestEvaluation:
         labels = rng.integers(0, cfg.classes, (n, cfg.height, cfg.width))
         params = model.init_params(2)
         want = np.zeros((cfg.classes, cfg.classes), dtype=np.int64)
-        for image, gt in zip(images, labels):
-            pred = np.argmax(fuse_predictions(*model.forward(params, image)), axis=-1)
-            want += confusion_matrix(pred, gt, cfg.classes)
+        for i in range(n):
+            pred = np.argmax(fuse_predictions(*model.forward(params, images[i : i + 1])), axis=-1)
+            want += confusion_matrix(pred[0], labels[i], cfg.classes)
         assert np.array_equal(dataset_confusion(model, params, images, labels), want)
 
     def test_evaluate_miou_perfect_on_trivial_labels(self):
@@ -674,9 +687,9 @@ class TestAblationSuite:
         warmup_steps = []
         grad_step = TwoHeadModel.grad_step
 
-        def counting(model, params, batch, lr, dropout_seed=None, term=None):
+        def counting(model, params, images, labels, lr, dropout_seed=None, term=None):
             warmup_steps.append(term is None)
-            return grad_step(model, params, batch, lr, dropout_seed=dropout_seed, term=term)
+            return grad_step(model, params, images, labels, lr, dropout_seed, term)
 
         monkeypatch.setattr(TwoHeadModel, "grad_step", counting)
         cfg = small_experiment_config(epochs=2, iters_per_epoch=3, eval_last_k=1)
@@ -960,9 +973,9 @@ class TestHorizontalFlip:
         batches, draws = [], []
         grad_step, draw = TwoHeadModel.grad_step, sampler_mod.draw
 
-        def spy_step(model, params, batch, lr, dropout_seed=None, term=None):
-            batches.append(batch)
-            return grad_step(model, params, batch, lr, dropout_seed=dropout_seed, term=term)
+        def spy_step(model, params, images, labels, lr, dropout_seed=None, term=None):
+            batches.append((images, labels))
+            return grad_step(model, params, images, labels, lr, dropout_seed, term)
 
         def spy_draw(dist, rng, count):
             draws.append(draw(dist, rng, count))
@@ -974,9 +987,10 @@ class TestHorizontalFlip:
         pair = generate_domain_pair(data_shift(cfg))
 
         def mirrored(batch):
-            """Per (image, labels): True if mirrored, False if as stored."""
+            """Per position of an (images, labels) batch: True if mirrored,
+            False if as stored."""
             out = []
-            for image, labels in batch:
+            for image, labels in zip(*batch):
                 for src, lab in zip(pair.source_images, pair.source_labels):
                     if np.array_equal(image, src) and np.array_equal(labels, lab):
                         out.append(False)

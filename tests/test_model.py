@@ -26,6 +26,7 @@ from helpers import (
     max_rel_error,
     per_position,
     random_image,
+    random_batch,
     random_labels,
     small_model_config,
 )
@@ -308,9 +309,9 @@ class TestForward:
         model = TwoHeadModel(cfg)
         rng = np.random.default_rng(1)
         params = model.init_params(0)
-        primary, aux = model.forward(params, random_image(rng, cfg))
+        primary, aux = model.forward(params, random_image(rng, cfg)[None])
         for maps in (primary, aux):
-            assert maps.shape == (cfg.height, cfg.width, cfg.classes)
+            assert maps.shape == (1, cfg.height, cfg.width, cfg.classes)
             assert np.all(maps >= 0)
             np.testing.assert_allclose(maps.sum(axis=-1), 1.0, atol=1e-12)
 
@@ -319,7 +320,7 @@ class TestForward:
         model = TwoHeadModel(cfg)
         rng = np.random.default_rng(2)
         params = model.init_params(0)
-        image = random_image(rng, cfg)
+        image = random_image(rng, cfg)[None]
         p1, a1 = model.forward(params, image)
         p2, a2 = model.forward(params, image)
         np.testing.assert_array_equal(p1, p2)
@@ -332,24 +333,35 @@ class TestForward:
         model = TwoHeadModel(cfg)
         rng = np.random.default_rng(3)
         params = model.init_params(0)
-        batch = [(random_image(rng, cfg), random_labels(rng, cfg))]
-        loss1, grad1 = model.loss_and_grad(params, batch, dropout_seed=11)
-        loss2, grad2 = model.loss_and_grad(params, batch, dropout_seed=11)
+        images, labels = random_batch(rng, cfg)
+        loss1, grad1 = model.loss_and_grad(params, images, labels, dropout_seed=11)
+        loss2, grad2 = model.loss_and_grad(params, images, labels, dropout_seed=11)
         assert loss1 == loss2 and same_bits(grad1, grad2)
-        losses = {model.loss_and_grad(params, batch, dropout_seed=s)[0] for s in range(8)}
+        losses = {model.loss_and_grad(params, images, labels, s)[0] for s in range(8)}
         assert len(losses) > 1
-        assert model.loss_and_grad(params, batch)[0] not in losses
+        assert model.loss_and_grad(params, images, labels)[0] not in losses
 
     def test_shape_mismatch_rejected(self):
         cfg = small_model_config()
         model = TwoHeadModel(cfg)
         params = model.init_params(0)
+        shape = (cfg.height, cfg.width, cfg.features)
         with pytest.raises(ValueError):
-            model.forward(params, np.zeros((cfg.height + 1, cfg.width, cfg.features)))
-        with pytest.raises(ValueError):
-            model.forward(params[:-1], np.zeros((cfg.height, cfg.width, cfg.features)))
-        with pytest.raises(ValueError):
-            model.forward(params, np.zeros((1, 1, cfg.height, cfg.width, cfg.features)))
+            model.forward(params[:-1], np.zeros((1, *shape)))
+
+        def head_terms(rows, cache):
+            raise AssertionError("a rejected stack was forwarded")
+
+        for images in (
+            np.zeros((1, cfg.height + 1, cfg.width, cfg.features)),
+            np.zeros((1, 1, *shape)),
+            np.zeros(shape),  # one image, not a stack
+            np.zeros((1, *shape), dtype=np.float32),
+        ):
+            with pytest.raises(ValueError):
+                model.forward(params, images)
+            with pytest.raises(ValueError):
+                model.value_and_grad(params, images, head_terms)
 
     @pytest.mark.parametrize("head", [4, 6])
     def test_finite_params_whose_logits_overflow_diverge(self, head):
@@ -364,7 +376,7 @@ class TestForward:
             bias[...] = 10.0
         sections[head][...] = 1e307
         assert np.all(np.isfinite(params))
-        image = np.zeros((cfg.height, cfg.width, cfg.features))
+        images = np.zeros((1, cfg.height, cfg.width, cfg.features))
 
         def head_terms(rows, cache):
             raise AssertionError("the loss of non-finite logits was reached")
@@ -372,9 +384,9 @@ class TestForward:
         # the harness runs every pass under this errstate
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError, match="non-finite logits"):
-                model.forward(params, image)
+                model.forward(params, images)
             with pytest.raises(DivergenceError, match="non-finite logits"):
-                model.value_and_grad(params, [image], head_terms, dropout_seed=1)
+                model.value_and_grad(params, images, head_terms, dropout_seed=1)
 
     @pytest.mark.parametrize(
         "cfg, chunk", [(ModelConfig(), 7), (ModelConfig(height=32, width=32), 1)]
@@ -386,9 +398,9 @@ class TestForward:
         rng = np.random.default_rng(12)
         params = model.init_params(5)
         images = rng.normal(0.0, 2.0, (n, cfg.height, cfg.width, cfg.features))
-        loop = [model.forward(params, image) for image in images]
-        want_p = np.stack([p for p, _ in loop])
-        want_a = np.stack([a for _, a in loop])
+        loop = [model.forward(params, images[i : i + 1]) for i in range(n)]
+        want_p = np.concatenate([p for p, _ in loop])
+        want_a = np.concatenate([a for _, a in loop])
         primary, aux = model.forward(params, images)
         assert np.array_equal(primary, want_p) and np.array_equal(aux, want_a)
         covered = []
@@ -406,11 +418,11 @@ class TestLoss:
         rng = np.random.default_rng(4)
         for _ in range(10):
             params = model.init_params(int(rng.integers(1000)))
-            image = random_image(rng, cfg)
-            labels = random_labels(rng, cfg)
-            primary, aux = model.forward(params, image)
-            composed = source_loss(primary, aux, labels, cfg.aux_loss_weight)
-            fused = model.loss_and_grad(params, [(image, labels)])[0]
+            images = random_image(rng, cfg)[None]
+            labels = random_labels(rng, cfg)[None]
+            primary, aux = model.forward(params, images)
+            composed = source_loss(primary[0], aux[0], labels[0], cfg.aux_loss_weight)
+            fused = model.loss_and_grad(params, images, labels)[0]
             np.testing.assert_allclose(fused, composed, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("size, classes", [(16, 3), (16, 5), (32, 3), (32, 5)])
@@ -424,9 +436,8 @@ class TestLoss:
         rng = np.random.default_rng(size + classes)
         params = model.init_params(classes)
         for n in (1, 2, 7, 15):
-            images = list(rng.normal(0.0, 2.0, (n, size, size, cfg.features)))
+            images = rng.normal(0.0, 2.0, (n, size, size, cfg.features))
             labels = rng.integers(0, classes, (n, size * size))
-            batch = [(image, flat.reshape(size, size)) for image, flat in zip(images, labels)]
 
             def oracle_terms(rows, cache):
                 logits_p, logits_a = head_logits(cache)
@@ -441,7 +452,8 @@ class TestLoss:
 
             for dropout_seed in (None, 6):
                 want, _ = model.value_and_grad(params, images, oracle_terms, dropout_seed, labels)
-                assert model.loss_and_grad(params, batch, dropout_seed)[0] == want
+                maps = labels.reshape(n, size, size)
+                assert model.loss_and_grad(params, images, maps, dropout_seed)[0] == want
 
     def test_source_loss_matches_per_pixel_summation(self):
         # independent oracle: loop over pixels with the scalar cross-entropy
@@ -451,7 +463,7 @@ class TestLoss:
         params = model.init_params(1)
         image = random_image(rng, cfg)
         labels = random_labels(rng, cfg)
-        primary, aux = model.forward(params, image)
+        primary, aux = (maps[0] for maps in model.forward(params, image[None]))
         total = 0.0
         for y in range(cfg.height):
             for x in range(cfg.width):
@@ -469,9 +481,9 @@ class TestLoss:
         model = TwoHeadModel(cfg)
         rng = np.random.default_rng(6)
         params = model.init_params(2)
-        image, labels = random_image(rng, cfg), random_labels(rng, cfg)
-        single = model.loss_and_grad(params, [(image, labels)], dropout_seed=5)
-        double = model.loss_and_grad(params, [(image, labels)] * 2, dropout_seed=5)
+        images, labels = random_batch(rng, cfg)
+        single = model.loss_and_grad(params, images, labels, dropout_seed=5)
+        double = model.loss_and_grad(params, images[[0, 0]], labels[[0, 0]], dropout_seed=5)
         np.testing.assert_allclose(single[0], double[0], atol=1e-12)
         np.testing.assert_allclose(single[1], double[1], atol=1e-12)
 
@@ -479,25 +491,43 @@ class TestLoss:
         cfg = small_model_config()
         model = TwoHeadModel(cfg)
         rng = np.random.default_rng(7)
-        image = random_image(rng, cfg)
-        labels = np.full((cfg.height, cfg.width), cfg.classes)
+        images = random_image(rng, cfg)[None]
+        labels = np.full((1, cfg.height, cfg.width), cfg.classes)
         with pytest.raises(IndexError):
-            model.loss_and_grad(model.init_params(0), [(image, labels)])
+            model.loss_and_grad(model.init_params(0), images, labels)
 
     def test_empty_batch(self):
-        model = TwoHeadModel(small_model_config())
-        with pytest.raises(ValueError):
-            model.loss_and_grad(model.init_params(0), [])
+        cfg = small_model_config()
+        model = TwoHeadModel(cfg)
+        images = np.empty((0, cfg.height, cfg.width, cfg.features))
+        labels = np.empty((0, cfg.height, cfg.width), dtype=np.int64)
+        with pytest.raises(ValueError, match="empty batch"):
+            model.loss_and_grad(model.init_params(0), images, labels)
+
+    def test_label_stack_must_match_the_image_stack(self):
+        cfg = small_model_config()
+        model = TwoHeadModel(cfg)
+        rng = np.random.default_rng(18)
+        images, labels = random_batch(rng, cfg, 3)
+        params = model.init_params(0)
+        for got_images, got_labels in ((images[:2], labels), (images, labels[:2])):
+            with pytest.raises(ValueError, match="targets rows for"):
+                model.loss_and_grad(params, got_images, got_labels)
+            with pytest.raises(ValueError, match="targets rows for"):
+                model.grad_step(params, got_images, got_labels, lr=0.1)
+        for bad in (labels[0], labels[:, None]):  # one map, or a 4-d stack
+            with pytest.raises(ValueError, match="label maps"):
+                model.loss_and_grad(params, images, bad)
 
 
 class TestGradient:
     def _check(self, cfg, rng, dropout_seed):
         model = TwoHeadModel(cfg)
         params = model.init_params(int(rng.integers(10_000)))
-        batch = [(random_image(rng, cfg), random_labels(rng, cfg))]
-        _, grad = model.loss_and_grad(params, batch, dropout_seed=dropout_seed)
+        images, labels = random_batch(rng, cfg)
+        _, grad = model.loss_and_grad(params, images, labels, dropout_seed)
         fd = finite_difference_gradient(
-            lambda p: model.loss_and_grad(p, batch, dropout_seed=dropout_seed)[0], params, eps=1e-5
+            lambda p: model.loss_and_grad(p, images, labels, dropout_seed)[0], params, eps=1e-5
         )
         assert max_rel_error(grad, fd) < 1e-4
 
@@ -528,7 +558,7 @@ class TestGradient:
         self._check(cfg, rng, dropout_seed=3)
         model = TwoHeadModel(cfg)
         params = model.init_params(13)
-        images = [random_image(rng, cfg) for _ in range(2)]
+        images = np.stack([random_image(rng, cfg) for _ in range(2)])
         for make in (entropy_min_regularizer, self_training_regularizer):
             hook = make(model, 0.5)
             _, grad = hook(params, images)
@@ -543,7 +573,7 @@ class TestGradient:
         cfg = small_model_config(dropout_rate=0.3)
         model = TwoHeadModel(cfg)
         n_pix = cfg.height * cfg.width
-        images = [random_image(rng, cfg) for _ in range(2)]
+        images = np.stack([random_image(rng, cfg) for _ in range(2)])
         coef = rng.normal(size=(len(images), 2, n_pix, cfg.classes))
 
         def head_terms(c, cache):
@@ -574,8 +604,8 @@ class TestGradient:
         n = 2 * model.chunk + 1
         rng = np.random.default_rng(23)
         params = model.init_params(8)
-        images = list(rng.normal(0.0, 1.5, (n, cfg.height, cfg.width, cfg.features)))
-        labels = list(rng.integers(0, cfg.classes, (n, cfg.height, cfg.width)))
+        images = rng.normal(0.0, 1.5, (n, cfg.height, cfg.width, cfg.features))
+        labels = rng.integers(0, cfg.classes, (n, cfg.height, cfg.width))
         coef = rng.normal(size=(n, 2, cfg.height * cfg.width, cfg.classes))
 
         def linear(c, cache):
@@ -585,17 +615,16 @@ class TestGradient:
         for dropout_seed in (None, 4):
             total, grad = model.value_and_grad(params, images, linear, dropout_seed, coef)
             want_total, want_grad = 0.0, np.zeros(model.param_count)
-            for i, image in enumerate(images):
+            for i in range(n):
                 term, g = model.value_and_grad(
-                    params, [image], linear, dropout_seed, coef[i : i + 1]
+                    params, images[i : i + 1], linear, dropout_seed, coef[i : i + 1]
                 )
                 want_total += term
                 want_grad += g
             assert total == want_total and same_bits(grad, want_grad)
 
-            batch = list(zip(images, labels))
-            got = model.loss_and_grad(params, batch, dropout_seed=dropout_seed)
-            want = single.loss_and_grad(params, batch, dropout_seed=dropout_seed)
+            got = model.loss_and_grad(params, images, labels, dropout_seed)
+            want = single.loss_and_grad(params, images, labels, dropout_seed)
             assert got[0] == want[0] and same_bits(got[1], want[1])
 
         for make in (entropy_min_regularizer, self_training_regularizer):
@@ -632,9 +661,12 @@ class TestGradient:
         model = TwoHeadModel(cfg)
         rng = np.random.default_rng(11)
         params = model.init_params(4)
-        data = [(random_image(rng, cfg), random_labels(rng, cfg)) for _ in range(3)]
-        _, g_all = model.loss_and_grad(params, data, dropout_seed=1)
-        singles = [model.loss_and_grad(params, [d], dropout_seed=1)[1] for d in data]
+        images, labels = random_batch(rng, cfg, 3)
+        _, g_all = model.loss_and_grad(params, images, labels, dropout_seed=1)
+        singles = [
+            model.loss_and_grad(params, images[i : i + 1], labels[i : i + 1], 1)[1]
+            for i in range(3)
+        ]
         np.testing.assert_allclose(g_all, np.mean(singles, axis=0), atol=1e-12)
 
 
@@ -644,15 +676,17 @@ class TestRepeatedInputs:
 
     @staticmethod
     def _draws(cfg, rng, n):
-        # 3 images drawn into n positions with replacement, a third of them
-        # flipped as the harness flips a draw: a flipped image is another input
+        # image and label stacks of 3 images drawn into n positions with
+        # replacement, a third of them flipped as the harness flips a draw:
+        # a flipped image is another input
         images = rng.normal(0.0, 1.5, (3, cfg.height, cfg.width, cfg.features))
         labels = rng.integers(0, cfg.classes, (3, cfg.height, cfg.width))
-        batch = []
-        for i, flip in zip(rng.integers(0, 3, n), rng.random(n) < 1 / 3):
-            pair = (images[i], labels[i])
-            batch.append(tuple(a[:, ::-1] for a in pair) if flip else pair)
-        return batch
+        drawn = rng.integers(0, 3, n)
+        flips = rng.random(n) < 1 / 3
+        images, labels = images[drawn], labels[drawn]
+        images[flips] = images[flips, :, ::-1]
+        labels[flips] = labels[flips, :, ::-1]
+        return images, labels
 
     def test_repeats_give_the_bits_of_the_per_position_loop(self, monkeypatch):
         cfg = ModelConfig()
@@ -662,16 +696,15 @@ class TestRepeatedInputs:
         rng = np.random.default_rng(31)
         params = model.init_params(3)
         n = 2 * model.chunk + 3
-        batch = self._draws(cfg, rng, n)
-        images = [image for image, _ in batch]
+        images, labels = self._draws(cfg, rng, n)
         hooks = (entropy_min_regularizer, self_training_regularizer)
         forwarded = forwarded_images(monkeypatch)
-        got = [model.loss_and_grad(params, batch, seed) for seed in (None, 4)]
+        got = [model.loss_and_grad(params, images, labels, seed) for seed in (None, 4)]
         got += [make(model, 0.5)(params, images) for make in hooks]
         merged = len(forwarded)
         forwarded.clear()
         per_position(monkeypatch)
-        want = [single.loss_and_grad(params, batch, seed) for seed in (None, 4)]
+        want = [single.loss_and_grad(params, images, labels, seed) for seed in (None, 4)]
         want += [make(single, 0.5)(params, images) for make in hooks]
         assert merged < len(forwarded) == 4 * n
         for (total, grad), (want_total, want_grad) in zip(got, want, strict=True):
@@ -682,16 +715,16 @@ class TestRepeatedInputs:
         model = TwoHeadModel(cfg)
         rng = np.random.default_rng(32)
         params = model.init_params(5)
-        batch = self._draws(cfg, rng, 12)
-        distinct = {(image.tobytes(), labels.tobytes()): image for image, labels in batch}
-        assert len(distinct) < len(batch)
+        images, labels = self._draws(cfg, rng, 12)
+        distinct = {(x.tobytes(), y.tobytes()): x for x, y in zip(images, labels)}
+        assert len(distinct) < len(images)
         forwarded = forwarded_images(monkeypatch)
-        model.loss_and_grad(params, batch, dropout_seed=2)
+        model.loss_and_grad(params, images, labels, dropout_seed=2)
         assert [image.tobytes() for image in forwarded] == [
             image.tobytes() for image in distinct.values()
         ]
         forwarded.clear()
-        self_training_regularizer(model, 0.5)(params, [image for image, _ in batch])
+        self_training_regularizer(model, 0.5)(params, images)
         assert len(forwarded) == len({image.tobytes() for image in forwarded}) == len(distinct)
 
     def test_same_image_with_other_labels_is_computed_twice(self, monkeypatch):
@@ -699,14 +732,13 @@ class TestRepeatedInputs:
         model = TwoHeadModel(cfg)
         rng = np.random.default_rng(33)
         params = model.init_params(6)
-        image = random_image(rng, cfg)
-        labels = [random_labels(rng, cfg), random_labels(rng, cfg)]
-        batch = [(image, labels[0]), (image, labels[1]), (image, labels[0])]
+        images = np.stack([random_image(rng, cfg)] * 3)
+        labels = np.stack([random_labels(rng, cfg), random_labels(rng, cfg)])[[0, 1, 0]]
         forwarded = forwarded_images(monkeypatch)
-        got = model.loss_and_grad(params, batch)
+        got = model.loss_and_grad(params, images, labels)
         assert len(forwarded) == 2
         per_position(monkeypatch)
-        want = model.loss_and_grad(params, batch)
+        want = model.loss_and_grad(params, images, labels)
         assert got[0] == want[0] and same_bits(got[1], want[1])
 
     def test_equal_images_with_other_targets_rows_are_not_merged(self, monkeypatch):
@@ -717,7 +749,7 @@ class TestRepeatedInputs:
         model = TwoHeadModel(cfg)
         rng = np.random.default_rng(34)
         params = model.init_params(7)
-        image = random_image(rng, cfg)
+        images = np.stack([random_image(rng, cfg)] * 5)
         coef = rng.normal(size=(3, cfg.height * cfg.width, cfg.classes))[[0, 1, 0, 2, 1]]
         seen_rows = []
 
@@ -726,17 +758,17 @@ class TestRepeatedInputs:
             return np.sum(c * head_logits(cache)[0], axis=(1, 2)), c, None
 
         forwarded = forwarded_images(monkeypatch)
-        total, grad = model.value_and_grad(params, [image] * 5, linear, targets=coef)
+        total, grad = model.value_and_grad(params, images, linear, targets=coef)
         assert seen_rows == [coef[i].tobytes() for i in (0, 1, 3)] and len(forwarded) == 3
         per_position(monkeypatch)
-        want = model.value_and_grad(params, [image] * 5, linear, targets=coef)
+        want = model.value_and_grad(params, images, linear, targets=coef)
         assert total == want[0] and same_bits(grad, want[1])
 
     def test_targets_must_match_images(self):
         model = TwoHeadModel(small_model_config())
-        image = random_image(np.random.default_rng(35), model.config)
+        images = np.stack([random_image(np.random.default_rng(35), model.config)] * 2)
         with pytest.raises(ValueError, match="1 targets rows for 2 images"):
-            model.value_and_grad(model.init_params(0), [image] * 2, None, targets=np.zeros((1, 3)))
+            model.value_and_grad(model.init_params(0), images, None, targets=np.zeros((1, 3)))
 
 
 class TestGradStep:
@@ -745,8 +777,8 @@ class TestGradStep:
         model = TwoHeadModel(cfg)
         rng = np.random.default_rng(12)
         params = model.init_params(5)
-        batch = [(random_image(rng, cfg), random_labels(rng, cfg))]
-        new, _ = model.grad_step(params, batch, lr=0.0, dropout_seed=1)
+        images, labels = random_batch(rng, cfg)
+        new, _ = model.grad_step(params, images, labels, lr=0.0, dropout_seed=1)
         np.testing.assert_array_equal(new, params)
 
     def test_small_step_decreases_loss(self):
@@ -755,14 +787,11 @@ class TestGradStep:
         rng = np.random.default_rng(13)
         for trial in range(10):
             params = model.init_params(int(rng.integers(10_000)))
-            batch = [
-                (random_image(rng, cfg), random_labels(rng, cfg))
-                for _ in range(2)
-            ]
-            before = model.loss_and_grad(params, batch, dropout_seed=trial)[0]
+            images, labels = random_batch(rng, cfg, 2)
+            before = model.loss_and_grad(params, images, labels, trial)[0]
             for lr in (1e-4, 1e-5):
-                new, _ = model.grad_step(params, batch, lr=lr, dropout_seed=trial)
-                after = model.loss_and_grad(new, batch, dropout_seed=trial)[0]
+                new, _ = model.grad_step(params, images, labels, lr=lr, dropout_seed=trial)
+                after = model.loss_and_grad(new, images, labels, trial)[0]
                 if after < before:
                     break
             assert after < before
@@ -772,17 +801,19 @@ class TestGradStep:
         model = TwoHeadModel(cfg)
         rng = np.random.default_rng(16)
         params = model.init_params(6)
-        batch = [(random_image(rng, cfg), random_labels(rng, cfg))]
+        images, labels = random_batch(rng, cfg)
         term = (0.25, rng.normal(size=model.param_count))
-        loss, grad = model.loss_and_grad(params, batch, dropout_seed=2)
-        new, total = model.grad_step(params, batch, lr=0.1, dropout_seed=2, term=term)
+        loss, grad = model.loss_and_grad(params, images, labels, dropout_seed=2)
+        new, total = model.grad_step(params, images, labels, lr=0.1, dropout_seed=2, term=term)
         assert total == loss + 0.25
         assert new.tobytes() == (params - 0.1 * (grad + term[1])).tobytes()
 
     def test_negative_lr_rejected(self):
-        model = TwoHeadModel(small_model_config())
-        with pytest.raises(ValueError):
-            model.grad_step(model.init_params(0), [], lr=-1.0)
+        cfg = small_model_config()
+        model = TwoHeadModel(cfg)
+        images, labels = random_batch(np.random.default_rng(15), cfg)
+        with pytest.raises(ValueError, match="lr must be"):
+            model.grad_step(model.init_params(0), images, labels, lr=-1.0)
 
     def test_non_finite_params_diverge(self):
         cfg = small_model_config()
@@ -790,9 +821,9 @@ class TestGradStep:
         rng = np.random.default_rng(14)
         params = model.init_params(0)
         params[3] = np.inf
-        batch = [(random_image(rng, cfg), random_labels(rng, cfg))]
+        images, labels = random_batch(rng, cfg)
         with pytest.raises(DivergenceError):
-            model.grad_step(params, batch, lr=0.1)
+            model.grad_step(params, images, labels, lr=0.1)
 
 
 class TestFusion:

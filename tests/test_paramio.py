@@ -128,6 +128,15 @@ class TestMalformed:
         with pytest.raises(SnapshotFormatError):
             load_file(str(tmp_path / "nope.abst"))
 
+    def test_empty_vector_not_written(self, tmp_path):
+        # the writer cannot make a file the reader refuses
+        path = tmp_path / "x.abst"
+        with pytest.raises(ValueError, match="empty"):
+            save_params(str(path), np.array([]))
+        with pytest.raises(ValueError, match="empty"):
+            save_snapshot(str(path), np.array([]), ROLE_STUDENT, 0)
+        assert not path.exists()
+
     def test_bad_role_byte(self, tmp_path, vec):
         path = str(tmp_path / "x.abst")
         save_snapshot(path, vec, ROLE_STUDENT, 1)

@@ -16,12 +16,17 @@ from boostadapt.regularizers import (
 from helpers import max_rel_error, random_image, small_model_config
 
 
+def empty_stack(model):
+    c = model.config
+    return np.empty((0, c.height, c.width, c.features))
+
+
 class TestZeroHook:
     def test_exact_zero(self):
         model = TwoHeadModel(small_model_config())
         hook = zero_regularizer(model)
         rng = np.random.default_rng(0)
-        loss, grad = hook(model.init_params(0), [random_image(rng, model.config)])
+        loss, grad = hook(model.init_params(0), random_image(rng, model.config)[None])
         assert loss == 0.0
         assert grad.shape == (model.param_count,)
         assert np.all(grad == 0.0)
@@ -33,13 +38,13 @@ class TestEntropyMinHook:
         model = TwoHeadModel(cfg)
         rng = np.random.default_rng(1)
         params = model.init_params(1)
-        images = [random_image(rng, cfg) for _ in range(3)]
+        images = np.stack([random_image(rng, cfg) for _ in range(3)])
         weight = 0.7
         hook = entropy_min_regularizer(model, weight)
         loss, _ = hook(params, images)
         expected = 0.0
-        for image in images:
-            primary, _ = model.forward(params, image)
+        for i in range(len(images)):
+            primary, _ = model.forward(params, images[i : i + 1])
             expected += weight * float(np.mean(entropy(primary))) / len(images)
         np.testing.assert_allclose(loss, expected, atol=1e-12)
 
@@ -50,7 +55,7 @@ class TestEntropyMinHook:
         hook = entropy_min_regularizer(model, 0.5)
         for trial in range(3):
             params = model.init_params(trial)
-            images = [random_image(rng, cfg) for _ in range(2)]
+            images = np.stack([random_image(rng, cfg) for _ in range(2)])
             _, grad = hook(params, images)
             fd = finite_difference_gradient(
                 lambda p: hook(p, images)[0], params, eps=1e-5
@@ -60,7 +65,7 @@ class TestEntropyMinHook:
     def test_empty_batch_is_zero(self):
         model = TwoHeadModel(small_model_config())
         hook = entropy_min_regularizer(model, 1.0)
-        loss, grad = hook(model.init_params(0), [])
+        loss, grad = hook(model.init_params(0), empty_stack(model))
         assert loss == 0.0 and np.all(grad == 0.0)
 
     def test_negative_weight_rejected(self):
@@ -75,13 +80,13 @@ class TestSelfTrainingHook:
         model = TwoHeadModel(cfg)
         rng = np.random.default_rng(3)
         params = model.init_params(3)
-        images = [random_image(rng, cfg) for _ in range(3)]
+        images = np.stack([random_image(rng, cfg) for _ in range(3)])
         weight = 0.6
         hook = self_training_regularizer(model, weight)
         loss, _ = hook(params, images)
         expected = 0.0
-        for image in images:
-            primary, aux = model.forward(params, image)
+        for i in range(len(images)):
+            primary, aux = model.forward(params, images[i : i + 1])
             labels = np.argmax(fuse_predictions(primary, aux), axis=-1)
             flat_p = primary.reshape(-1, cfg.classes)
             picked = flat_p[np.arange(flat_p.shape[0]), labels.ravel()]
@@ -98,7 +103,7 @@ class TestSelfTrainingHook:
         hook = self_training_regularizer(model, 0.8)
         for trial in range(3):
             params = model.init_params(10 + trial)
-            images = [random_image(rng, cfg) for _ in range(2)]
+            images = np.stack([random_image(rng, cfg) for _ in range(2)])
             _, grad = hook(params, images)
             fd = finite_difference_gradient(
                 lambda p: hook(p, images)[0], params, eps=1e-5
@@ -114,8 +119,8 @@ class TestSelfTrainingHook:
         image = random_image(rng, cfg)
         hook = self_training_regularizer(model, 1.0)
         params = model.init_params(0)
-        loss, _ = hook(params, [image])
-        primary, aux = model.forward(params, image)
+        loss, _ = hook(params, image[None])
+        primary, aux = model.forward(params, image[None])
         labels = np.argmax(fuse_predictions(primary, aux), axis=-1)
         flat_p = primary.reshape(-1, cfg.classes)
         picked = flat_p[np.arange(flat_p.shape[0]), labels.ravel()]
@@ -125,7 +130,7 @@ class TestSelfTrainingHook:
     def test_empty_batch_is_zero(self):
         model = TwoHeadModel(small_model_config())
         hook = self_training_regularizer(model, 1.0)
-        loss, grad = hook(model.init_params(0), [])
+        loss, grad = hook(model.init_params(0), empty_stack(model))
         assert loss == 0.0 and np.all(grad == 0.0)
 
     def test_negative_weight_rejected(self):
@@ -142,7 +147,7 @@ def test_non_finite_params_diverge(make_hook, bad):
     params = model.init_params(0)
     params[0] = bad  # a stage-1 weight
     with pytest.raises(DivergenceError):
-        hook(params, [random_image(np.random.default_rng(6), model.config)])
+        hook(params, random_image(np.random.default_rng(6), model.config)[None])
 
 
 class TestFactory:

@@ -87,11 +87,11 @@ class TestScoreDataset:
         model = TwoHeadModel(cfg)
         rng = np.random.default_rng(4)
         params = model.init_params(0)
-        images = [random_image(rng, cfg) for _ in range(model.chunk + 3)]
+        images = np.stack([random_image(rng, cfg) for _ in range(model.chunk + 3)])
         for criterion in ("kl-variance", "entropy"):
             values, predicted = score_dataset(model, params, images, criterion)
-            for i, image in enumerate(images):
-                primary, aux = model.forward(params, image)
+            for i in range(len(images)):
+                primary, aux = (maps[0] for maps in model.forward(params, images[i : i + 1]))
                 want = (
                     kl_variance_image(primary, aux)
                     if criterion == "kl-variance"
