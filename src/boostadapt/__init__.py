@@ -53,7 +53,6 @@ from .regularizers import (
     entropy_min_regularizer,
     make_regularizer,
     self_training_regularizer,
-    zero_regularizer,
 )
 from .report import EpochRow, MetricsReport, SummaryRow, read_report, read_summary, write_report, write_summary
 from .sampler import SampleDistribution, draw, init_uniform, update

@@ -31,6 +31,8 @@ GEOMETRIES = ("blobs", "stripes", "checker")
 MANIFEST_NAME = "manifest.json"
 _MANIFEST_FORMAT = "domain-pair"
 _MANIFEST_VERSION = 2
+# the array file dtypes ``export_domain_pair`` writes
+_DTYPES = ("<f8", "<i8")
 
 
 @dataclass(frozen=True)
@@ -187,8 +189,10 @@ def export_domain_pair(pair: DomainPair, out_dir: str) -> None:
 
 def import_domain_pair(in_dir: str) -> DomainPair:
     """Inverse of ``export_domain_pair``; round-trips bit-exactly. An array
-    file whose sha256 differs from its manifest entry, or a manifest shape
-    that is not the one its config makes, raises ``FormatError``."""
+    file whose sha256 differs from its manifest entry, a manifest dtype the
+    exporter does not write, a manifest shape that is not the list of
+    integers its config makes, or labels that are not whole numbers in
+    range raise ``FormatError``."""
     path = os.path.join(in_dir, MANIFEST_NAME)
     try:
         with open(path) as fh:
@@ -212,12 +216,16 @@ def import_domain_pair(in_dir: str) -> DomainPair:
         try:
             entry = manifest["arrays"][name]
             fpath = os.path.join(in_dir, entry["file"])
-            shape = tuple(int(v) for v in entry["shape"])
+            shape, dtype, digest = entry["shape"], entry["dtype"], entry["sha256"]
+            if not isinstance(shape, list) or not all(type(v) is int for v in shape):
+                raise ValueError(f"shape {shape!r} is not a list of integers")
+            if dtype not in _DTYPES:
+                raise ValueError(f"dtype {dtype!r} is not one of {_DTYPES}")
             with open(fpath, "rb") as fh:
                 blob = fh.read()
-            arr = np.frombuffer(blob, dtype=entry["dtype"])
-            digest = entry["sha256"]
-        except (KeyError, TypeError, OSError, ValueError, OverflowError) as exc:
+            arr = np.frombuffer(blob, dtype=dtype)
+            shape = tuple(shape)
+        except (KeyError, TypeError, OSError, ValueError) as exc:
             raise FormatError(f"bad array entry {name!r} in {path}: {exc}") from exc
         if hashlib.sha256(blob).hexdigest() != digest:
             raise FormatError(f"array file {fpath} does not match the sha256 in {path}")
@@ -227,14 +235,17 @@ def import_domain_pair(in_dir: str) -> DomainPair:
             raise FormatError(
                 f"array {name!r} has {arr.size} values, expected shape {shape}"
             )
+        # labels are checked before the int64 cast, which would truncate them
+        if "labels" in name and not np.all(
+            (arr == np.floor(arr)) & (arr >= 0) & (arr < cfg.classes)
+        ):
+            raise FormatError(
+                f"array {name!r} has labels that are not whole numbers in [0, {cfg.classes})"
+            )
         # each field's dtype whatever the file's: the model takes float64 images
         kind = np.float64 if "images" in name else np.int64
         loaded[name] = arr.astype(kind).reshape(shape)
     for name in ("source_images", "target_images"):
         if not np.all(np.isfinite(loaded[name])):
             raise FormatError(f"array {name!r} contains non-finite values")
-    for name in ("source_labels", "target_labels_heldout"):
-        lab = loaded[name]
-        if lab.size and (lab.min() < 0 or lab.max() >= cfg.classes):
-            raise FormatError(f"array {name!r} has labels outside [0, {cfg.classes})")
     return DomainPair(config=cfg, **loaded)

@@ -171,23 +171,19 @@ class SharedWork:
         return made, value
 
 
-# a step's target key when the regularizer hook never reads its images
-UNREAD = "unread"
-
-
 def step_how(
     student: int,
     lr: float,
     dropout_seed: int,
     source: np.ndarray,
     flips: tuple[bool, ...],
-    target: int | str | None,
+    target: int | None,
 ) -> tuple:
     """The ``SharedWork`` key of one step from the params of id ``student``:
     what it reads, the learning rate, the dropout seed, the source draw and
     what the target draw reads. ``target`` is the id of the sampling
-    distribution's weights (``SharedWork.weights_id``), None in warm-up (no
-    target term) or ``UNREAD`` when the hook ignores its images. The weights
+    distribution's weights (``SharedWork.weights_id``), or None for a step
+    with no target term (warm-up, or no regularizer hook). The weights
     and the sampling stream's position, which the student's chain fixes,
     make the draw, so equal weights make one step and equal draws from
     unequal weights two."""
@@ -252,7 +248,9 @@ def run_experiment(
     params = model.init_params(substream_seed(cfg.seed, "init"))
     dropout_rng = substream(cfg.seed, "dropout")
     sampling_rng = substream(cfg.seed, "sampling")
-    reg = make_regularizer(model, cfg.regularizer, cfg.regularizer_weight)
+    reg = None  # under "none" every step trains as a warm-up step does
+    if cfg.regularizer != "none":
+        reg = make_regularizer(model, cfg.regularizer, cfg.regularizer_weight)
     # the entropy criterion drives sampling only when selected; the report's
     # score column always reflects the criterion used for the update, with
     # kl-variance as the diagnostic default under uniform sampling
@@ -270,12 +268,15 @@ def run_experiment(
     ) -> tuple[int, np.ndarray]:
         """The id and params of one step from ``params`` (id ``student``) on
         a uniformly drawn source batch, plus the regularizer term of a
-        ``dist``-drawn target batch (none in warm-up, ``dist`` None). The
-        draws are made even when the step is shared, so both RNG streams
-        advance as if it were computed here."""
+        ``dist``-drawn target batch (none in warm-up, ``dist`` None, or
+        without a hook, ``reg`` None). The draws are made even when the step
+        is shared or has no target term, so both RNG streams advance as if
+        it were computed here."""
         source = sampling_rng.integers(0, n_source, cfg.batch_size)
         flips = tuple(cfg.horizontal_flip and sampling_rng.random() < 0.5 for _ in source)
         target = None if dist is None else sampler.draw(dist, sampling_rng, cfg.batch_size)
+        if reg is None:
+            target = None  # no hook reads the draw
         seed = int(dropout_rng.integers(0, 2**62))
 
         def compute() -> np.ndarray:
@@ -287,12 +288,7 @@ def run_experiment(
             term = None if target is None else reg(params, data.target_images[target])
             return model.grad_step(params, images, labels, lr, dropout_seed=seed, term=term)[0]
 
-        if dist is None:
-            drawn_from = None
-        elif cfg.regularizer == "none":
-            drawn_from = UNREAD  # the zero hook ignores its images
-        else:
-            drawn_from = work.weights_id(dist.weights)
+        drawn_from = None if target is None else work.weights_id(dist.weights)
         how = step_how(student, lr, seed, source, flips, drawn_from)
         return work.get(how, compute, keep=work.keep_steps)
 

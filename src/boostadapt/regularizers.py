@@ -2,16 +2,16 @@
 
 The training loop treats the regularizer as an opaque term: given the current
 parameters and the drawn (N, H, W, F) target image stack it returns (loss,
-gradient), and the gradient is added to the labeled-source gradient. The
-default hook returns an exact zero so the base method trains on source
-supervision alone. The entropy-minimization and self-training hooks are
-each a ``head_terms`` callback on ``TwoHeadModel.value_and_grad``, the
-model's one forward/backward loop: for each stack of images they give the
-per-image loss terms and the primary head's dloss/dlogits from an eval-mode
-forward (the aux head gets none), and like that loop they raise
-``DivergenceError`` on non-finite parameters. Their terms read only the
-cache, so they pass no ``targets``: an image the sampler drew twice into
-one batch is forwarded once.
+gradient), and the gradient is added to the labeled-source gradient. Under
+``regularizer: none`` there is no hook: the step trains on source
+supervision alone, as a warm-up step does. The entropy-minimization and
+self-training hooks are each a ``head_terms`` callback on
+``TwoHeadModel.value_and_grad``, the model's one forward/backward loop: for
+each stack of images they give the per-image loss terms and the primary
+head's dloss/dlogits from an eval-mode forward (the aux head gets none), and
+like that loop they raise ``DivergenceError`` on non-finite parameters.
+Their terms read only the cache, so they pass no ``targets``: an image the
+sampler drew twice into one batch is forwarded once.
 """
 
 from __future__ import annotations
@@ -24,15 +24,6 @@ from .model import TwoHeadModel
 from .numerics import entropy
 
 RegularizerHook = Callable[[np.ndarray, np.ndarray], tuple[float, np.ndarray]]
-
-
-def zero_regularizer(model: TwoHeadModel) -> RegularizerHook:
-    """No-op target term: loss 0, gradient exactly zero."""
-
-    def hook(params: np.ndarray, images: np.ndarray) -> tuple[float, np.ndarray]:
-        return 0.0, np.zeros(model.param_count)
-
-    return hook
 
 
 def entropy_min_regularizer(model: TwoHeadModel, weight: float) -> RegularizerHook:
@@ -87,8 +78,6 @@ def self_training_regularizer(model: TwoHeadModel, weight: float) -> Regularizer
 
 
 def make_regularizer(model: TwoHeadModel, kind: str, weight: float) -> RegularizerHook:
-    if kind == "none":
-        return zero_regularizer(model)
     if kind == "entropy-min":
         return entropy_min_regularizer(model, weight)
     if kind == "self-training":

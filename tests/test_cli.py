@@ -34,6 +34,16 @@ def reshaped(name, shape):
     return edit
 
 
+def retyped(name, dtype):
+    """A manifest edit that sets array ``name``'s dtype entry to ``dtype``."""
+
+    def edit(manifest):
+        manifest["arrays"][name]["dtype"] = dtype
+        return manifest
+
+    return edit
+
+
 @pytest.fixture
 def config_path(tmp_path):
     cfg = {
@@ -296,8 +306,24 @@ class TestRun:
             (reshaped("source_labels", [6, 8, math.inf]), "bad array entry 'source_labels'"),
             # valid JSON, but not an object
             (lambda manifest: [], "is not a domain-pair manifest"),
+            # int() would truncate 8.9 to the config's 8
+            (
+                reshaped("source_images", [6, 8.9, 8, 3]),
+                "shape [6, 8.9, 8, 3] is not a list of integers",
+            ),
+            # a dtype the exporter never writes, whose values no float holds
+            (retyped("source_images", "S8"), "dtype 'S8' is not one of"),
+            # the int64 labels read as float64 are denormals, not class ids
+            (retyped("source_labels", "<f8"), "'source_labels' has labels that are not whole"),
         ],
-        ids=["shape-of-another-config", "infinite-shape", "not-an-object"],
+        ids=[
+            "shape-of-another-config",
+            "infinite-shape",
+            "not-an-object",
+            "fractional-shape",
+            "string-dtype",
+            "float-labels",
+        ],
     )
     def test_bad_manifest_exits_4(self, tmp_path, config_path, capsys, edit, message):
         data_dir = tmp_path / "data"

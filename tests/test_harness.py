@@ -24,7 +24,6 @@ from boostadapt.config import (
 from boostadapt.data import generate_domain_pair
 from boostadapt.errors import ConfigError, DivergenceError
 from boostadapt.harness import (
-    UNREAD,
     SharedWork,
     data_shift,
     dataset_confusion,
@@ -111,9 +110,9 @@ def lone_step_inputs(monkeypatch, cfg):
     """What each step of a lone run of ``cfg`` reads, in order, as
     ``sampler.draw``, the regularizer hook and ``grad_step`` see it: (lr,
     dropout seed, source batch bytes, what the target draw read, target
-    batch bytes). The draw reads the sampling distribution's weights; under
-    the zero hook, which ignores its images, the draw is "unread". Both
-    target entries are None in warm-up."""
+    batch bytes). The draw reads the sampling distribution's weights. Both
+    target entries are None when ``grad_step`` gets no target term: in
+    warm-up, and in every step of a run without a hook."""
     steps, target = [], [None, None]
     grad_step, make_regularizer, draw = (
         TwoHeadModel.grad_step,
@@ -127,7 +126,8 @@ def lone_step_inputs(monkeypatch, cfg):
 
     def spy_step(model, params, images, labels, lr, dropout_seed=None, term=None):
         source = b"".join(x.tobytes() + y.tobytes() for x, y in zip(images, labels))
-        steps.append((lr, dropout_seed, source, *target))
+        read = target if term is not None else [None, None]
+        steps.append((lr, dropout_seed, source, *read))
         target[:] = [None, None]
         return grad_step(model, params, images, labels, lr, dropout_seed, term)
 
@@ -135,8 +135,6 @@ def lone_step_inputs(monkeypatch, cfg):
         hook = make_regularizer(model, kind, weight)
 
         def spy(params, images):
-            if kind == "none":
-                target[0] = "unread"
             target[1] = b"".join(i.tobytes() for i in images)
             return hook(params, images)
 
@@ -254,6 +252,54 @@ class TestLoopStructure:
         cfg = small_experiment_config(epochs=2, aggregation="none")
         res = run_experiment(cfg)
         np.testing.assert_array_equal(spy.params[-1], res.snapshots[-1])
+
+    @pytest.mark.parametrize("regularizer", REGULARIZERS)
+    def test_only_a_hook_gives_a_step_a_target_term(self, monkeypatch, regularizer):
+        # under "none" no hook is made or called and every step trains as a
+        # warm-up step does, yet every adaptation step still draws its
+        # target batch, so the sampling stream advances as under a hook
+        made, hooked, drawn, terms = [], [], [], []
+        make_regularizer, draw, grad_step = (
+            harness_mod.make_regularizer,
+            sampler_mod.draw,
+            TwoHeadModel.grad_step,
+        )
+
+        def spy_regularizer(model, kind, weight):
+            made.append(kind)
+            hook = make_regularizer(model, kind, weight)
+
+            def spy(params, images):
+                hooked.append(len(images))
+                return hook(params, images)
+
+            return spy
+
+        def spy_draw(dist, rng, count):
+            drawn.append(count)
+            return draw(dist, rng, count)
+
+        def spy_step(model, params, images, labels, lr, dropout_seed=None, term=None):
+            terms.append(term)
+            return grad_step(model, params, images, labels, lr, dropout_seed, term)
+
+        monkeypatch.setattr(harness_mod, "make_regularizer", spy_regularizer)
+        monkeypatch.setattr(sampler_mod, "draw", spy_draw)
+        monkeypatch.setattr(TwoHeadModel, "grad_step", spy_step)
+        cfg = small_experiment_config(epochs=2, regularizer=regularizer)
+        run_experiment(cfg)
+        warmup = cfg.warmup_epochs * cfg.iters_per_epoch
+        adaptation = cfg.epochs * cfg.iters_per_epoch
+        assert drawn == [cfg.batch_size] * adaptation
+        assert len(terms) == warmup + adaptation
+        assert all(term is None for term in terms[:warmup])
+        if regularizer == "none":
+            assert made == [] and hooked == []
+            assert all(term is None for term in terms)
+        else:
+            assert made == [regularizer]
+            assert hooked == [cfg.batch_size] * adaptation
+            assert all(term is not None for term in terms[warmup:])
 
     def test_scoring_criterion_follows_sampler(self, monkeypatch):
         for sampler, expected in (
@@ -799,7 +845,6 @@ class TestSharedWork:
             {"flips": (True, False)},
             {"target": work.weights_id(tilted.weights)},
             {"target": None},
-            {"target": UNREAD},
         ]
         for change in changes:
             work.get(step_how(**{**base, **change}), compute)
@@ -900,8 +945,8 @@ class TestSharedWork:
         assert alike_draws
 
     def test_a_none_seed_computes_one_runs_steps(self, monkeypatch):
-        # the zero hook ignores the target draw, and every cell draws its
-        # source batches and dropout seeds alike, so all 9 cells share steps
+        # no step has a target term, and every cell draws its source
+        # batches and dropout seeds alike, so all 9 cells share steps
         cfg = small_experiment_config(epochs=3, iters_per_epoch=3, eval_last_k=1)
         cfg = dataclasses.replace(cfg, regularizer="none")
         computed = counting_steps(monkeypatch)

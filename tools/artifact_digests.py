@@ -21,17 +21,19 @@ iterations, so the one-image stacks that 16x16 runs never make are hashed
 too.
 
 Each preset also runs five forced divergences, so the state a diverging
-run persists is hashed too: a regularizer hook returning a NaN loss at
-epoch 1 iteration 3 (``diverge-e1i3``) and at epoch 2 iteration 3
-(``diverge-e2i3``), put in place of ``harness.make_regularizer``; a hook
-whose gradient is -1e308 at the last iteration of epoch 1, which leaves
-finite params whose logits overflow in epoch 2's first training forward
-(``diverge-logits``); ``lr0=1e308``, whose loss overflows at warm-up
-iteration 2 (``diverge-warmup``); and ``lr0=1e308`` with one iteration per
-epoch and no warm-up, whose epoch-1 step overflows the params that the
-epoch-end eval passes then read, before epoch 2's loss is non-finite
-(``diverge-epoch-end``). Every divergence is noted on stderr, and no
-numpy ``RuntimeWarning`` should be.
+run persists is hashed too. The first three put a hook in place of
+``harness.make_regularizer``, which the harness calls once per run under
+every regularizer but ``none``; they run the default config, so the
+injected hook stands in for its ``self-training`` hook. A hook returning a
+NaN loss at epoch 1 iteration 3 (``diverge-e1i3``) and at epoch 2
+iteration 3 (``diverge-e2i3``); a hook whose gradient is -1e308 at the last
+iteration of epoch 1, which leaves finite params whose logits overflow in
+epoch 2's first training forward (``diverge-logits``); ``lr0=1e308``,
+whose loss overflows at warm-up iteration 2 (``diverge-warmup``); and
+``lr0=1e308`` with one iteration per epoch and no warm-up, whose epoch-1
+step overflows the params that the epoch-end eval passes then read, before
+epoch 2's loss is non-finite (``diverge-epoch-end``). Every divergence is
+noted on stderr, and no numpy ``RuntimeWarning`` should be.
 
 The ``full-variance`` preset also goes through the CLI's import path:
 ``gen-data`` exports its pair to ``full-variance/export/`` and ``run --data``
