@@ -31,12 +31,7 @@ from .data import (
     import_domain_pair,
 )
 from .errors import ConfigError, DivergenceError, FormatError, SnapshotFormatError
-from .harness import (
-    RunResult,
-    evaluate_miou,
-    run_ablation_suite,
-    run_experiment,
-)
+from .harness import RunResult, run_ablation_suite, run_experiment
 from .metrics import confusion_matrix, iou_per_class, miou, pixel_accuracy, trajectory_stats
 from .model import ModelConfig, TwoHeadModel, fuse_predictions, poly_lr, source_loss
 from .numerics import (
@@ -48,12 +43,7 @@ from .numerics import (
     softmax,
 )
 from .paramio import SnapshotInfo, load_file, load_params, save_params, save_snapshot
-from .regularizers import (
-    RegularizerHook,
-    entropy_min_regularizer,
-    make_regularizer,
-    self_training_regularizer,
-)
+from .regularizers import RegularizerHook, make_regularizer
 from .report import EpochRow, MetricsReport, SummaryRow, read_report, read_summary, write_report, write_summary
 from .sampler import SampleDistribution, draw, init_uniform, update
 from .uncertainty import (

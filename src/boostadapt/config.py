@@ -18,11 +18,12 @@ from typing import Any
 from .data import GEOMETRIES, ShiftConfig
 from .errors import ConfigError, check_finite_fields, is_finite
 from .model import ModelConfig
+from .regularizers import KINDS
 from .uncertainty import max_score
 
 SAMPLERS = ("kl-variance", "entropy", "uniform")
 AGGREGATIONS = ("running-mean", "momentum", "ema", "oracle-alpha", "none")
-REGULARIZERS = ("none", "entropy-min", "self-training")
+REGULARIZERS = ("none", *KINDS)
 
 # Ablation presets: the five-row table plus baseline aggregation variants.
 VARIANT_PRESETS: dict[str, dict[str, Any]] = {

@@ -90,15 +90,6 @@ def dataset_confusion(
     return cm
 
 
-def evaluate_miou(
-    model: TwoHeadModel,
-    params: np.ndarray,
-    images: np.ndarray,
-    labels: np.ndarray,
-) -> float:
-    return miou(dataset_confusion(model, params, images, labels))
-
-
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
@@ -412,9 +403,13 @@ def run_ablation_suite(
     the suite continues, any other error propagates. Cells run seed by seed:
     a variant preset sets per-cell fields only, so the cells of one seed
     share one ``SharedWork``, its domain pair and memo, dropped when the
-    seed is done. Rows come back variant-major."""
+    seed is done. A seed named twice raises ``ConfigError`` before any cell
+    runs. Rows come back variant-major."""
     if len(seeds) == 0:
         raise ValueError("need at least one seed")
+    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    if repeated:
+        raise ConfigError(f"seeds named more than once: {', '.join(map(str, repeated))}")
     cells: dict[tuple[int, int], SummaryRow] = {}
     for k, seed in enumerate(seeds):
         seed_cfg = replace(base_cfg, seed=seed, out_dir=None)
@@ -425,19 +420,11 @@ def run_ablation_suite(
             work.keep_steps = v + 1 < len(variants)
             run_dir = os.path.join(out_dir, "runs", f"{variant}-seed{seed}") if out_dir else None
             try:
-                report = run_experiment(
+                cells[v, k] = run_experiment(
                     cfg, variant_label=variant, shared=work, out_dir=run_dir
-                ).report
-                summary = report.summary(cfg.eval_last_k)
-                finals = (
-                    report.rows[-1].student_tgt_miou,
-                    report.rows[-1].aggregate_tgt_miou,
-                    summary.lastk_student_std,
-                    summary.lastk_aggregate_std,
-                )
+                ).report.summary(cfg.eval_last_k)
             except DivergenceError:
-                finals = (float("nan"),) * 4
-            cells[v, k] = SummaryRow(variant, seed, *finals)
+                cells[v, k] = SummaryRow(variant, seed, *(float("nan"),) * 4)
     rows = [cells[v, k] for v in range(len(variants)) for k in range(len(seeds))]
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)

@@ -46,14 +46,6 @@ SUMMARY_COLUMNS = tuple(f.name for f in fields(SummaryRow))
 
 
 @dataclass(frozen=True)
-class RunSummary:
-    lastk_student_mean: float
-    lastk_student_std: float
-    lastk_aggregate_mean: float
-    lastk_aggregate_std: float
-
-
-@dataclass(frozen=True)
 class MetricsReport:
     rows: tuple[EpochRow, ...]
     config_echo: dict
@@ -63,16 +55,20 @@ class MetricsReport:
         if epochs != sorted(set(epochs)):
             raise ValueError("rows must be unique and epoch-ordered")
 
-    def summary(self, last_k: int) -> RunSummary:
-        student = [r.student_tgt_miou for r in self.rows]
-        aggregate = [r.aggregate_tgt_miou for r in self.rows]
-        s_mean, s_std = trajectory_stats(student, last_k)
-        a_mean, a_std = trajectory_stats(aggregate, last_k)
-        return RunSummary(
-            lastk_student_mean=s_mean,
-            lastk_student_std=s_std,
-            lastk_aggregate_mean=a_mean,
-            lastk_aggregate_std=a_std,
+    def summary(self, last_k: int) -> SummaryRow:
+        """The run's summary row: the last row's variant and target mIoUs,
+        the echoed seed, and the std of each mIoU over the last ``last_k``
+        rows. An empty report raises ``ValueError``."""
+        _, student_std = trajectory_stats([r.student_tgt_miou for r in self.rows], last_k)
+        _, aggregate_std = trajectory_stats([r.aggregate_tgt_miou for r in self.rows], last_k)
+        last = self.rows[-1]
+        return SummaryRow(
+            variant=last.variant,
+            seed=self.config_echo["seed"],
+            final_student_miou=last.student_tgt_miou,
+            final_aggregate_miou=last.aggregate_tgt_miou,
+            lastk_student_std=student_std,
+            lastk_aggregate_std=aggregate_std,
         )
 
 

@@ -449,9 +449,15 @@ class TestAblate:
         assert {r.seed for r in rows} == {1, 2}
         assert "10 runs, 0 failed" in capsys.readouterr().out
 
-    def test_bad_seed_list(self, config_path):
-        assert cli_main(["ablate", "--config", config_path, "--seeds", "a,b", "--out", "o"]) == EXIT_CONFIG
-        assert cli_main(["ablate", "--config", config_path, "--seeds", "", "--out", "o"]) == EXIT_CONFIG
+    def test_bad_seed_list(self, tmp_path, config_path, capsys):
+        # a repeated seed would run its cells twice and count twice in a mean
+        out = tmp_path / "out"
+        for seeds in ("a,b", "", "1,1", "2,1,2"):
+            argv = ["ablate", "--config", config_path, "--seeds", seeds, "--out", str(out)]
+            assert cli_main(argv) == EXIT_CONFIG
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("config error:")
+            assert not out.exists()
 
     def test_help_exits_zero(self, capsys):
         assert cli_main(["--help"]) == 0

@@ -27,16 +27,15 @@ from boostadapt.harness import (
     SharedWork,
     data_shift,
     dataset_confusion,
-    evaluate_miou,
     run_ablation_suite,
     run_experiment,
     step_how,
     work_scope,
 )
-from boostadapt.metrics import confusion_matrix, pixel_accuracy
+from boostadapt.metrics import confusion_matrix, miou, pixel_accuracy
 from boostadapt.model import ModelConfig, TwoHeadModel, fuse_predictions
 from boostadapt.paramio import ROLE_AGGREGATE, ROLE_STUDENT, load_file
-from boostadapt.report import read_report
+from boostadapt.report import read_report, read_summary
 from boostadapt.rng import substream_seed
 from boostadapt.sampler import update as sampler_update
 from boostadapt.uncertainty import normalize_scores, score_dataset
@@ -351,8 +350,11 @@ class TestAggregationVariants:
         pair = generate_domain_pair(dataclasses.replace(cfg.shift, seed=data_seed))
         last = res.report.rows[-1]
         images, labels = pair.target_images, pair.target_labels_heldout
-        assert last.student_tgt_miou == evaluate_miou(res.model, res.student, images, labels)
-        assert last.aggregate_tgt_miou == evaluate_miou(res.model, res.aggregate, images, labels)
+        for params, reported in (
+            (res.student, last.student_tgt_miou),
+            (res.aggregate, last.aggregate_tgt_miou),
+        ):
+            assert reported == miou(dataset_confusion(res.model, params, images, labels))
 
     def test_oracle_alpha_matches_recomputation(self):
         cfg = small_experiment_config(epochs=3, aggregation="oracle-alpha")
@@ -627,8 +629,8 @@ class TestEvaluation:
         res = run_experiment(dataclasses.replace(cfg, epochs=1, eval_last_k=1))
         data_seed = substream_seed(cfg.seed, "data")
         pair = generate_domain_pair(dataclasses.replace(cfg.shift, seed=data_seed))
-        val = evaluate_miou(
-            res.model, res.student, pair.source_images, pair.source_labels
+        val = miou(
+            dataset_confusion(res.model, res.student, pair.source_images, pair.source_labels)
         )
         assert 0.0 <= val <= 1.0
         np.testing.assert_allclose(val, res.report.rows[-1].student_src_miou, atol=1e-12)
@@ -747,6 +749,19 @@ class TestAblationSuite:
     def test_empty_seed_list_rejected(self):
         with pytest.raises(ValueError):
             run_ablation_suite(small_experiment_config(), seeds=[])
+
+    def test_summary_rows_are_the_run_reports_summaries(self, tmp_path):
+        # the suite's row of a cell and the cell's own report.csv must
+        # summarize to the same bits, field for field
+        cfg = small_experiment_config(epochs=3, iters_per_epoch=2, eval_last_k=2)
+        out = tmp_path / "grid"
+        rows = run_ablation_suite(
+            cfg, seeds=[1, 2], variants=sorted(VARIANT_PRESETS), out_dir=str(out)
+        )
+        assert len(rows) == 2 * 9 and read_summary(str(out / "summary.csv")) == rows
+        for row in rows:
+            run_dir = out / "runs" / f"{row.variant}-seed{row.seed}"
+            assert read_report(str(run_dir / "report.csv")).summary(cfg.eval_last_k) == row
 
 
 class TestSharedWork:

@@ -19,7 +19,7 @@ from boostadapt.model import (
     source_loss,
 )
 from boostadapt.numerics import cross_entropy, finite_difference_gradient, log_softmax, softmax
-from boostadapt.regularizers import entropy_min_regularizer, self_training_regularizer
+from boostadapt.regularizers import KINDS, make_regularizer
 
 from helpers import (
     forwarded_images,
@@ -559,8 +559,8 @@ class TestGradient:
         model = TwoHeadModel(cfg)
         params = model.init_params(13)
         images = np.stack([random_image(rng, cfg) for _ in range(2)])
-        for make in (entropy_min_regularizer, self_training_regularizer):
-            hook = make(model, 0.5)
+        for kind in KINDS:
+            hook = make_regularizer(model, kind, 0.5)
             _, grad = hook(params, images)
             fd = finite_difference_gradient(lambda p: hook(p, images)[0], params, eps=1e-5)
             assert max_rel_error(grad, fd) < 1e-4
@@ -627,9 +627,9 @@ class TestGradient:
             want = single.loss_and_grad(params, images, labels, dropout_seed)
             assert got[0] == want[0] and same_bits(got[1], want[1])
 
-        for make in (entropy_min_regularizer, self_training_regularizer):
-            got = make(model, 0.5)(params, images)
-            want = make(single, 0.5)(params, images)
+        for kind in KINDS:
+            got = make_regularizer(model, kind, 0.5)(params, images)
+            want = make_regularizer(single, kind, 0.5)(params, images)
             assert got[0] == want[0] and same_bits(got[1], want[1])
 
         # an aux dlogits of None skips the aux head's backward, bit for bit
@@ -697,15 +697,14 @@ class TestRepeatedInputs:
         params = model.init_params(3)
         n = 2 * model.chunk + 3
         images, labels = self._draws(cfg, rng, n)
-        hooks = (entropy_min_regularizer, self_training_regularizer)
         forwarded = forwarded_images(monkeypatch)
         got = [model.loss_and_grad(params, images, labels, seed) for seed in (None, 4)]
-        got += [make(model, 0.5)(params, images) for make in hooks]
+        got += [make_regularizer(model, kind, 0.5)(params, images) for kind in KINDS]
         merged = len(forwarded)
         forwarded.clear()
         per_position(monkeypatch)
         want = [single.loss_and_grad(params, images, labels, seed) for seed in (None, 4)]
-        want += [make(single, 0.5)(params, images) for make in hooks]
+        want += [make_regularizer(single, kind, 0.5)(params, images) for kind in KINDS]
         assert merged < len(forwarded) == 4 * n
         for (total, grad), (want_total, want_grad) in zip(got, want, strict=True):
             assert total == want_total and same_bits(grad, want_grad)
@@ -724,7 +723,7 @@ class TestRepeatedInputs:
             image.tobytes() for image in distinct.values()
         ]
         forwarded.clear()
-        self_training_regularizer(model, 0.5)(params, images)
+        make_regularizer(model, "self-training", 0.5)(params, images)
         assert len(forwarded) == len({image.tobytes() for image in forwarded}) == len(distinct)
 
     def test_same_image_with_other_labels_is_computed_twice(self, monkeypatch):

@@ -1,16 +1,13 @@
-"""Regularizer hooks: contract shape, the factory, gradient checks."""
+"""Regularizer hooks: contract shape, the one builder, gradient checks."""
 
 import numpy as np
 import pytest
 
+from boostadapt.config import REGULARIZERS
 from boostadapt.errors import DivergenceError
 from boostadapt.model import TwoHeadModel, fuse_predictions
 from boostadapt.numerics import entropy, finite_difference_gradient
-from boostadapt.regularizers import (
-    entropy_min_regularizer,
-    make_regularizer,
-    self_training_regularizer,
-)
+from boostadapt.regularizers import KINDS, make_regularizer
 
 from helpers import max_rel_error, random_image, small_model_config
 
@@ -28,7 +25,7 @@ class TestEntropyMinHook:
         params = model.init_params(1)
         images = np.stack([random_image(rng, cfg) for _ in range(3)])
         weight = 0.7
-        hook = entropy_min_regularizer(model, weight)
+        hook = make_regularizer(model, "entropy-min", weight)
         loss, _ = hook(params, images)
         expected = 0.0
         for i in range(len(images)):
@@ -40,7 +37,7 @@ class TestEntropyMinHook:
         cfg = small_model_config(height=4, width=4)
         model = TwoHeadModel(cfg)
         rng = np.random.default_rng(2)
-        hook = entropy_min_regularizer(model, 0.5)
+        hook = make_regularizer(model, "entropy-min", 0.5)
         for trial in range(3):
             params = model.init_params(trial)
             images = np.stack([random_image(rng, cfg) for _ in range(2)])
@@ -49,17 +46,6 @@ class TestEntropyMinHook:
                 lambda p: hook(p, images)[0], params, eps=1e-5
             )
             assert max_rel_error(grad, fd) < 1e-4
-
-    def test_empty_batch_is_zero(self):
-        model = TwoHeadModel(small_model_config())
-        hook = entropy_min_regularizer(model, 1.0)
-        loss, grad = hook(model.init_params(0), empty_stack(model))
-        assert loss == 0.0 and np.all(grad == 0.0)
-
-    def test_negative_weight_rejected(self):
-        model = TwoHeadModel(small_model_config())
-        with pytest.raises(ValueError):
-            entropy_min_regularizer(model, -0.1)
 
 
 class TestSelfTrainingHook:
@@ -70,7 +56,7 @@ class TestSelfTrainingHook:
         params = model.init_params(3)
         images = np.stack([random_image(rng, cfg) for _ in range(3)])
         weight = 0.6
-        hook = self_training_regularizer(model, weight)
+        hook = make_regularizer(model, "self-training", weight)
         loss, _ = hook(params, images)
         expected = 0.0
         for i in range(len(images)):
@@ -88,7 +74,7 @@ class TestSelfTrainingHook:
         cfg = small_model_config(height=4, width=4)
         model = TwoHeadModel(cfg)
         rng = np.random.default_rng(4)
-        hook = self_training_regularizer(model, 0.8)
+        hook = make_regularizer(model, "self-training", 0.8)
         for trial in range(3):
             params = model.init_params(10 + trial)
             images = np.stack([random_image(rng, cfg) for _ in range(2)])
@@ -105,7 +91,7 @@ class TestSelfTrainingHook:
         model = TwoHeadModel(cfg)
         rng = np.random.default_rng(5)
         image = random_image(rng, cfg)
-        hook = self_training_regularizer(model, 1.0)
+        hook = make_regularizer(model, "self-training", 1.0)
         params = model.init_params(0)
         loss, _ = hook(params, image[None])
         primary, aux = model.forward(params, image[None])
@@ -115,23 +101,28 @@ class TestSelfTrainingHook:
         assert loss >= -float(np.mean(np.log(np.max(flat_p, axis=1))))  # argmax of fused <= max of primary
         assert loss >= 0.0
 
-    def test_empty_batch_is_zero(self):
-        model = TwoHeadModel(small_model_config())
-        hook = self_training_regularizer(model, 1.0)
-        loss, grad = hook(model.init_params(0), empty_stack(model))
-        assert loss == 0.0 and np.all(grad == 0.0)
 
-    def test_negative_weight_rejected(self):
-        model = TwoHeadModel(small_model_config())
-        with pytest.raises(ValueError):
-            self_training_regularizer(model, -0.5)
-
-
-@pytest.mark.parametrize("make_hook", [entropy_min_regularizer, self_training_regularizer])
-@pytest.mark.parametrize("bad", [np.inf, np.nan])
-def test_non_finite_params_diverge(make_hook, bad):
+@pytest.mark.parametrize("kind", KINDS)
+def test_empty_batch_is_zero(kind):
     model = TwoHeadModel(small_model_config())
-    hook = make_hook(model, 0.5)
+    hook = make_regularizer(model, kind, 1.0)
+    loss, grad = hook(model.init_params(0), empty_stack(model))
+    assert loss == 0.0 and np.all(grad == 0.0)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("weight", [-0.1, -0.5])
+def test_negative_weight_rejected(kind, weight):
+    model = TwoHeadModel(small_model_config())
+    with pytest.raises(ValueError):
+        make_regularizer(model, kind, weight)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_params_diverge(kind, bad):
+    model = TwoHeadModel(small_model_config())
+    hook = make_regularizer(model, kind, 0.5)
     params = model.init_params(0)
     params[0] = bad  # a stage-1 weight
     with pytest.raises(DivergenceError):
@@ -141,9 +132,13 @@ def test_non_finite_params_diverge(make_hook, bad):
 class TestFactory:
     def test_known_kinds(self):
         model = TwoHeadModel(small_model_config())
-        assert callable(make_regularizer(model, "entropy-min", 0.1))
-        assert callable(make_regularizer(model, "self-training", 0.1))
+        for kind in KINDS:
+            assert callable(make_regularizer(model, kind, 0.1))
         # "none" makes no hook: the harness gives its steps no target term
         for kind in ("none", "l2"):
             with pytest.raises(ValueError):
                 make_regularizer(model, kind, 0.1)
+
+    def test_config_regularizers_are_none_and_the_kinds(self):
+        assert REGULARIZERS == ("none", *KINDS)
+        assert tuple(KINDS) == ("entropy-min", "self-training")

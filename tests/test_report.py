@@ -105,9 +105,19 @@ class TestSummary:
     def test_last_k_stats(self):
         report = make_report(6)
         summary = report.summary(3)
+        assert isinstance(summary, SummaryRow)
+        last = report.rows[-1]
+        assert (summary.variant, summary.seed) == (last.variant, report.config_echo["seed"])
+        assert summary.final_student_miou == last.student_tgt_miou
+        assert summary.final_aggregate_miou == last.aggregate_tgt_miou
         tail = [r.student_tgt_miou for r in report.rows[-3:]]
-        np.testing.assert_allclose(summary.lastk_student_mean, np.mean(tail))
         np.testing.assert_allclose(summary.lastk_student_std, np.std(tail))
+        tail = [r.aggregate_tgt_miou for r in report.rows[-3:]]
+        np.testing.assert_allclose(summary.lastk_aggregate_std, np.std(tail))
+
+    def test_empty_report_has_no_summary(self):
+        with pytest.raises(ValueError):
+            MetricsReport(rows=(), config_echo={"seed": 0}).summary(1)
 
     def test_summary_csv_round_trip(self, tmp_path):
         rows = [

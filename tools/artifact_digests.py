@@ -8,8 +8,8 @@ give the same output, so a byte-identity check is one ``diff``:
 
     PYTHONPATH=src python3 tools/artifact_digests.py --seed 1 > digests.txt
 
-Each preset also runs as ``repeats-<regularizer>`` under each hook that
-forwards the target batch (``entropy-min`` and ``self-training``): batches
+Each preset also runs as ``repeats-<regularizer>`` under each hook kind in
+``regularizers.KINDS`` (``entropy-min`` and ``self-training``): batches
 of 8 drawn from 16 source and 16 target images at 16x16 with
 ``horizontal_flip`` on, 4 epochs of 5 iterations, so batches hold repeated
 and flipped draws, which training computes once per distinct input.
@@ -73,7 +73,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from boostadapt import harness
+from boostadapt import harness, regularizers
 from boostadapt.cli import cli_main
 from boostadapt.config import (
     REGULARIZERS,
@@ -188,7 +188,7 @@ def all_digests(seed: int) -> list[str]:
             cfg = apply_variant(base, variant)
             for regularizer in REGULARIZERS:
                 run(replace(cfg, regularizer=regularizer), tmp, variant, regularizer)
-            for regularizer in ("entropy-min", "self-training"):
+            for regularizer in regularizers.KINDS:
                 run(repeats(cfg, regularizer), tmp, variant, f"repeats-{regularizer}")
             for regularizer in REGULARIZERS:
                 run(wide(cfg, regularizer), tmp, variant, f"32x32-{regularizer}")
