@@ -15,7 +15,7 @@ import typing
 from dataclasses import dataclass, field
 from typing import Any
 
-from .data import GEOMETRIES, ShiftConfig
+from .data import ShiftConfig
 from .errors import ConfigError, check_finite_fields, is_finite
 from .model import ModelConfig
 from .regularizers import KINDS

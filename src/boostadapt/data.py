@@ -18,7 +18,6 @@ import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -189,10 +188,10 @@ def export_domain_pair(pair: DomainPair, out_dir: str) -> None:
 
 def import_domain_pair(in_dir: str) -> DomainPair:
     """Inverse of ``export_domain_pair``; round-trips bit-exactly. An array
-    file whose sha256 differs from its manifest entry, a manifest dtype the
-    exporter does not write, a manifest shape that is not the list of
-    integers its config makes, or labels that are not whole numbers in
-    range raise ``FormatError``."""
+    file that is not ``<field>.bin`` or whose sha256 differs from its
+    manifest entry, a manifest dtype the exporter does not write, a
+    manifest shape that is not the list of integers its config makes, or
+    labels that are not whole numbers in range raise ``FormatError``."""
     path = os.path.join(in_dir, MANIFEST_NAME)
     try:
         with open(path) as fh:
@@ -215,6 +214,8 @@ def import_domain_pair(in_dir: str) -> DomainPair:
         want = (count, cfg.height, cfg.width) + ((cfg.features,) if "images" in name else ())
         try:
             entry = manifest["arrays"][name]
+            if entry["file"] != f"{name}.bin":
+                raise ValueError(f"file {entry['file']!r} is not '{name}.bin'")
             fpath = os.path.join(in_dir, entry["file"])
             shape, dtype, digest = entry["shape"], entry["dtype"], entry["sha256"]
             if not isinstance(shape, list) or not all(type(v) is int for v in shape):

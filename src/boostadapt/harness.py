@@ -66,12 +66,10 @@ _PER_CELL_FIELDS = (
 @dataclass(frozen=True)
 class RunResult:
     report: MetricsReport
-    student: np.ndarray
     aggregate: np.ndarray
     distribution: sampler.SampleDistribution
     distributions: tuple[np.ndarray, ...]  # D_t used in epoch t, t = 1..T1
     snapshots: tuple[np.ndarray, ...]  # student at the end of epoch t, t = 1..T1
-    model: TwoHeadModel
 
 
 def dataset_confusion(
@@ -384,12 +382,10 @@ def run_experiment(
             _write_distributions(os.path.join(out_dir, DISTRIBUTIONS_NAME), dist_trace)
     return RunResult(
         report=report,
-        student=params,
         aggregate=agg.params,
         distribution=dist,
         distributions=tuple(dist_trace),
         snapshots=tuple(agg.snapshots),
-        model=model,
     )
 
 

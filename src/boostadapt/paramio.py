@@ -124,8 +124,3 @@ def load_file(path: str) -> SnapshotInfo:
         )
     params = np.frombuffer(raw, dtype="<f8").astype(np.float64)
     return SnapshotInfo(params=params, role=role, seq=seq)
-
-
-def load_params(path: str) -> np.ndarray:
-    """Read just the parameter vector, whichever flavor the file is."""
-    return load_file(path).params

@@ -23,7 +23,6 @@ from boostadapt.paramio import (
     ROLE_AGGREGATE,
     ROLE_STUDENT,
     load_file,
-    load_params,
     save_params,
     save_snapshot,
 )
@@ -266,7 +265,7 @@ def test_criterion_10_serialization_roundtrip_and_inspect_rejection(tmp_path, an
     plain = tmp_path / "plain.abst"
     save_params(str(plain), params)
     plain_ok = np.array_equal(
-        load_params(str(plain)).view(np.uint64), params.view(np.uint64)
+        load_file(str(plain)).params.view(np.uint64), params.view(np.uint64)
     )
     student = tmp_path / "student.abst"
     save_snapshot(str(student), params, role=ROLE_STUDENT, seq=7)

@@ -315,6 +315,17 @@ class TestRun:
             (retyped("source_images", "S8"), "dtype 'S8' is not one of"),
             # the int64 labels read as float64 are denormals, not class ids
             (retyped("source_labels", "<f8"), "'source_labels' has labels that are not whole"),
+            # the target images, sha256 and all, read as labeled source images
+            (
+                lambda manifest: {
+                    **manifest,
+                    "arrays": {
+                        **manifest["arrays"],
+                        "source_images": manifest["arrays"]["target_images"],
+                    },
+                },
+                "file 'target_images.bin' is not 'source_images.bin'",
+            ),
         ],
         ids=[
             "shape-of-another-config",
@@ -323,6 +334,7 @@ class TestRun:
             "fractional-shape",
             "string-dtype",
             "float-labels",
+            "another-arrays-file",
         ],
     )
     def test_bad_manifest_exits_4(self, tmp_path, config_path, capsys, edit, message):

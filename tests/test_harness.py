@@ -320,7 +320,7 @@ class TestAggregationVariants:
 
     def test_none_aggregate_equals_student(self):
         res = run_experiment(small_experiment_config(aggregation="none"))
-        np.testing.assert_array_equal(res.aggregate, res.student)
+        np.testing.assert_array_equal(res.aggregate, res.snapshots[-1])
         for row in res.report.rows:
             assert row.aggregate_tgt_miou == row.student_tgt_miou
 
@@ -336,7 +336,7 @@ class TestAggregationVariants:
         # decay near zero makes the per-iteration EMA follow the student
         cfg = small_experiment_config(aggregation="ema", ema_decay=1e-9)
         res = run_experiment(cfg)
-        np.testing.assert_allclose(res.aggregate, res.student, rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose(res.aggregate, res.snapshots[-1], rtol=1e-6, atol=1e-9)
 
     @pytest.mark.parametrize(
         "aggregation", ["running-mean", "momentum", "ema", "oracle-alpha", "none"]
@@ -350,11 +350,12 @@ class TestAggregationVariants:
         pair = generate_domain_pair(dataclasses.replace(cfg.shift, seed=data_seed))
         last = res.report.rows[-1]
         images, labels = pair.target_images, pair.target_labels_heldout
+        model = TwoHeadModel(cfg.model_config())
         for params, reported in (
-            (res.student, last.student_tgt_miou),
+            (res.snapshots[-1], last.student_tgt_miou),
             (res.aggregate, last.aggregate_tgt_miou),
         ):
-            assert reported == miou(dataset_confusion(res.model, params, images, labels))
+            assert reported == miou(dataset_confusion(model, params, images, labels))
 
     def test_oracle_alpha_matches_recomputation(self):
         cfg = small_experiment_config(epochs=3, aggregation="oracle-alpha")
@@ -362,9 +363,10 @@ class TestAggregationVariants:
         assert len(res.snapshots) == 3
         data_seed = substream_seed(cfg.seed, "data")
         pair = generate_domain_pair(dataclasses.replace(cfg.shift, seed=data_seed))
+        model = TwoHeadModel(cfg.model_config())
         errors = []
         for snap in res.snapshots:
-            cm = dataset_confusion(res.model, snap, pair.target_images, pair.target_labels_heldout)
+            cm = dataset_confusion(model, snap, pair.target_images, pair.target_labels_heldout)
             errors.append(float(np.clip(1.0 - pixel_accuracy(cm), 1e-6, 1 - 1e-6)))
         alphas = [adaboost_alpha(e) for e in errors]
         if min(alphas) <= 0 or sum(alphas) <= 0:
@@ -389,7 +391,7 @@ class TestDeterminism:
         cfg = small_experiment_config(epochs=2)
         r1 = run_experiment(dataclasses.replace(cfg, seed=1))
         r2 = run_experiment(dataclasses.replace(cfg, seed=2))
-        assert np.any(r1.student != r2.student)
+        assert np.any(r1.snapshots[-1] != r2.snapshots[-1])
 
     def test_explicit_data_matches_derived_data(self):
         # the harness derives the dataset seed from the master seed's data
@@ -564,7 +566,7 @@ class TestArtifacts:
         assert report.rows == res.report.rows
         student = load_file(os.path.join(out, "student.abst"))
         assert student.role == ROLE_STUDENT and student.seq == 2
-        np.testing.assert_array_equal(student.params, res.student)
+        np.testing.assert_array_equal(student.params, res.snapshots[-1])
         aggregate = load_file(os.path.join(out, "aggregate.abst"))
         assert aggregate.role == ROLE_AGGREGATE
         np.testing.assert_array_equal(aggregate.params, res.aggregate)
@@ -629,8 +631,9 @@ class TestEvaluation:
         res = run_experiment(dataclasses.replace(cfg, epochs=1, eval_last_k=1))
         data_seed = substream_seed(cfg.seed, "data")
         pair = generate_domain_pair(dataclasses.replace(cfg.shift, seed=data_seed))
+        model = TwoHeadModel(cfg.model_config())
         val = miou(
-            dataset_confusion(res.model, res.student, pair.source_images, pair.source_labels)
+            dataset_confusion(model, res.snapshots[-1], pair.source_images, pair.source_labels)
         )
         assert 0.0 <= val <= 1.0
         np.testing.assert_allclose(val, res.report.rows[-1].student_src_miou, atol=1e-12)
@@ -825,11 +828,11 @@ class TestSharedWork:
         assert len(work.values) == steps + cfg.epochs * 3
         assert not any(value.flags.writeable for value in work.values.values())
         with pytest.raises(ValueError, match="read-only"):
-            first.student[0] = 0.0
+            first.snapshots[-1][0] = 0.0
         # under uniform sampling the aggregation never reaches the student
         second = run_experiment(dataclasses.replace(cfg, aggregation="running-mean"), shared=work)
         assert computed == [steps]
-        assert second.student is first.student
+        assert second.snapshots[-1] is first.snapshots[-1]
         assert second.report.rows != first.report.rows  # its aggregate is its own
 
     def test_every_step_input_is_in_the_key(self):
@@ -909,7 +912,7 @@ class TestSharedWork:
         shared = run_experiment(dataclasses.replace(cfg, **second), shared=work)
         alone = run_experiment(dataclasses.replace(cfg, **second))
         assert shared.report.rows == alone.report.rows
-        assert np.array_equal(shared.student, alone.student)
+        assert np.array_equal(shared.snapshots[-1], alone.snapshots[-1])
         assert np.array_equal(shared.aggregate, alone.aggregate)
 
     @pytest.mark.parametrize("regularizer", REGULARIZERS)
@@ -1069,7 +1072,7 @@ class TestHorizontalFlip:
         on = run_experiment(dataclasses.replace(cfg, horizontal_flip=True))
         assert not any(m for batch in off_batches for m in mirrored(batch))
         assert any(m for batch in batches for m in mirrored(batch))
-        assert np.any(on.student != off.student)
+        assert np.any(on.snapshots[-1] != off.snapshots[-1])
         # the flip coins come from the sampling stream, so the target draws move
         assert any(not np.array_equal(a, b) for a, b in zip(draws, off_draws))
 
@@ -1113,4 +1116,4 @@ class TestOverflow:
         assert len(res.report.rows) == 3
         for row in res.report.rows:
             assert all(np.isfinite(v) for v in dataclasses.astuple(row) if isinstance(v, float))
-        assert np.all(np.isfinite(res.student)) and np.all(np.isfinite(res.aggregate))
+        assert np.all(np.isfinite(res.snapshots[-1])) and np.all(np.isfinite(res.aggregate))

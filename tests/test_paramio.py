@@ -16,7 +16,6 @@ from boostadapt.paramio import (
     ROLE_STUDENT,
     VERSION,
     load_file,
-    load_params,
     save_params,
     save_snapshot,
 )
@@ -40,7 +39,7 @@ class TestRoundTrip:
     def test_plain_bit_exact(self, tmp_path, vec):
         path = str(tmp_path / "p.abst")
         save_params(path, vec)
-        loaded = load_params(path)
+        loaded = load_file(path).params
         assert loaded.dtype == np.float64
         np.testing.assert_array_equal(
             loaded.view(np.uint64), vec.view(np.uint64)
