@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import AGGREGATIONS
+AGGREGATIONS = ("running-mean", "momentum", "ema", "oracle-alpha", "none")
 
 
 def update_running_mean(mean: np.ndarray, params: np.ndarray, t: int) -> np.ndarray:
@@ -69,7 +69,7 @@ def weighted_combine(snapshots: Sequence[np.ndarray], alphas: Sequence[float]) -
 
 
 class Aggregator:
-    """One run's aggregation policy, one of ``config.AGGREGATIONS``: the
+    """One run's aggregation policy, one of ``AGGREGATIONS``: the
     training loop calls ``after_step`` after every adaptation iteration and
     ``after_epoch`` at every epoch end. ``params`` is the aggregate, which
     starts as a copy of the student entering adaptation (the EMA teacher's
@@ -95,9 +95,8 @@ class Aggregator:
 
     def after_epoch(self, params: np.ndarray, heldout_error: Callable[[], float]) -> np.ndarray:
         """Fold in the student's epoch-end snapshot ``params``; return the
-        aggregate parameters, ``params`` itself when the aggregate is that
-        snapshot. ``heldout_error()`` is the student's labeled target error,
-        asked for under ``oracle-alpha`` only."""
+        aggregate parameters. ``heldout_error()`` is the student's labeled
+        target error, asked for under ``oracle-alpha`` only."""
         self.snapshots.append(params)
         t = len(self.snapshots)
         if self.policy == "ema":
@@ -105,8 +104,6 @@ class Aggregator:
         if self.policy == "oracle-alpha":
             self._errors.append(float(np.clip(heldout_error(), 1e-6, 1.0 - 1e-6)))
         if self.policy == "none" or t == 1:
-            # the aggregate of one snapshot is its own array, so it keeps the
-            # student's lineage
             self.params = params
         elif self.policy == "running-mean":
             self.params = update_running_mean(self.params, params, t)

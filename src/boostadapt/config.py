@@ -15,14 +15,14 @@ import typing
 from dataclasses import dataclass, field
 from typing import Any
 
+from .aggregator import AGGREGATIONS
 from .data import ShiftConfig
 from .errors import ConfigError, check_finite_fields, is_finite
 from .model import ModelConfig
 from .regularizers import KINDS
-from .uncertainty import max_score
+from .uncertainty import CRITERIA, max_score
 
-SAMPLERS = ("kl-variance", "entropy", "uniform")
-AGGREGATIONS = ("running-mean", "momentum", "ema", "oracle-alpha", "none")
+SAMPLERS = (*CRITERIA, "uniform")
 REGULARIZERS = ("none", *KINDS)
 
 # Ablation presets: the five-row table plus baseline aggregation variants.
@@ -89,6 +89,12 @@ class ExperimentConfig:
             raise ConfigError("warmup_epochs must be >= 0")
         if self.lr_horizon_scale < 1.0:
             raise ConfigError("lr_horizon_scale must be >= 1")
+        try:
+            self.decay_horizon()
+        except OverflowError as exc:
+            raise ConfigError(
+                f"decay horizon lr_horizon_scale * run length is not finite: {exc}"
+            ) from exc
         if self.sampler not in SAMPLERS:
             raise ConfigError(f"unknown sampler {self.sampler!r}; known: {SAMPLERS}")
         if self.aggregation not in AGGREGATIONS:
@@ -122,6 +128,12 @@ class ExperimentConfig:
             self.model_config()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+
+    def decay_horizon(self) -> int:
+        """The poly-decay horizon in iterations: ``lr_horizon_scale`` times
+        the run length, warm-up included."""
+        run_iter = (self.warmup_epochs + self.epochs) * self.iters_per_epoch
+        return int(round(self.lr_horizon_scale * run_iter))
 
     def model_config(self) -> ModelConfig:
         """Full architecture config, dimensions pulled from the shift section."""

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import FormatError, check_finite_fields
+from .errors import ConfigError, FormatError, check_finite_fields
 from .paramio import write_atomic
 from .rng import substream
 
@@ -128,7 +128,8 @@ def class_signatures(cfg: ShiftConfig) -> np.ndarray:
 
 
 def generate_domain_pair(cfg: ShiftConfig) -> DomainPair:
-    """Render both domains. Bit-identical for identical configs."""
+    """Render both domains. Bit-identical for identical configs. Images
+    that overflow to non-finite values raise ``ConfigError``."""
     signatures = class_signatures(cfg)
     geom_rng = substream(cfg.seed, "geometry")
     noise_rng = substream(cfg.seed, "shift-noise")
@@ -149,6 +150,11 @@ def generate_domain_pair(cfg: ShiftConfig) -> DomainPair:
         + shift
         + noise_rng.normal(0.0, std, (*target_labels.shape, cfg.features))
     )
+    if not (np.all(np.isfinite(source_images)) and np.all(np.isfinite(target_images))):
+        raise ConfigError(
+            f"generated images are not finite: feature_noise_std {std!r}, contrast_scale "
+            f"{cfg.contrast_scale!r} or feature_mean_shift {cfg.feature_mean_shift!r} overflows"
+        )
     return DomainPair(
         source_images=source_images,
         source_labels=source_labels,

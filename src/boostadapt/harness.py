@@ -49,7 +49,7 @@ DISTRIBUTIONS_NAME = "distributions.csv"
 SUMMARY_NAME = "summary.csv"
 
 # The fields that reach a training step or an eval pass only through its memo
-# key (the sampling distribution's weights, the aggregate's id or the score
+# key (the sampling distribution's weights, the params' bytes or the score
 # criterion) or not at all.
 _PER_CELL_FIELDS = (
     "sampler",
@@ -111,17 +111,18 @@ def work_scope(cfg: ExperimentConfig) -> tuple:
 
 class SharedWork:
     """The domain pair of one ``work_scope`` and the training steps and eval
-    passes of its runs, memoized by what they read. Every student and
-    aggregate a run makes gets an id for how it was made: a student's is the
-    key of the step that made it (``step_how``), naming the whole chain of
-    steps from the scope's init; an aggregate's adds the aggregation policy.
-    A hit returns the read-only array the first run to reach the key
-    computed, so sharing changes no output bit. Steps drawn from equal
-    distributions are shared, equal draws from unequal ones are not, so the
-    work a suite does never hinges on near-uniform draws agreeing. With
-    ``keep_steps`` off, as it starts, steps are still looked up but no new
-    one is stored: a lone run, and a suite's last cell, can never repeat one.
-    ``data``, when given, must be the pair ``cfg`` makes."""
+    passes of its runs, memoized by what they read. ``lineage`` gives each
+    student the id of the step that made it (``step_how``), naming the
+    whole chain of steps from the scope's init. An eval pass is keyed by
+    the id of the epoch-end student whose chain made its params, the
+    params' bytes, and the split or criterion. A hit returns the read-only
+    array the first run to reach the key computed, so sharing changes no
+    output bit. Steps drawn from unequal distributions, and bit-equal
+    params of two chains, stay apart, so the work a suite does never
+    hinges on near-uniform draws agreeing. With ``keep_steps`` off, as it
+    starts, steps are still looked up but no new one is stored: a lone
+    run, and a suite's last cell, can never repeat one. ``data``, when
+    given, must be the pair ``cfg`` makes."""
 
     def __init__(self, cfg: ExperimentConfig, data: DomainPair | None = None) -> None:
         shift = data_shift(cfg)
@@ -133,31 +134,23 @@ class SharedWork:
         self.data = data if data is not None else generate_domain_pair(shift)
         self.keep_steps = False
         self._ids: dict[tuple, int] = {}
-        self.values: dict[int, np.ndarray] = {}
+        self.values: dict[tuple, np.ndarray] = {}
 
     def lineage(self, *how: object) -> int:
-        """The id of what is made ``how``: equal exactly for equal ``how``."""
+        """The id of the student made ``how``: equal exactly for equal ``how``."""
         return self._ids.setdefault(how, len(self._ids))
 
-    def weights_id(self, weights: np.ndarray) -> int:
-        """The id of a sampling distribution, equal exactly for bit-equal weights."""
-        return self.lineage("weights", weights.tobytes())
-
-    def get(
-        self, how: tuple, compute: Callable[[], np.ndarray], keep: bool = True
-    ) -> tuple[int, np.ndarray]:
-        """The id of what is made ``how`` and its read-only array, computed
-        on a miss and stored when ``keep``. A compute that raises stores
-        nothing."""
-        made = self.lineage(*how)
-        if made in self.values:
-            return made, self.values[made]
+    def get(self, how: tuple, compute: Callable[[], np.ndarray], keep: bool = True) -> np.ndarray:
+        """The read-only array made ``how``, computed on a miss and stored
+        when ``keep``. A compute that raises stores nothing."""
+        if how in self.values:
+            return self.values[how]
         # overflow surfaces as the typed non-finite check alone, no warning
         with np.errstate(over="ignore", invalid="ignore"):
             value = _frozen(compute())
         if keep:
-            self.values[made] = value
-        return made, value
+            self.values[how] = value
+        return value
 
 
 def step_how(
@@ -166,16 +159,15 @@ def step_how(
     dropout_seed: int,
     source: np.ndarray,
     flips: tuple[bool, ...],
-    target: int | None,
+    target: bytes | None,
 ) -> tuple:
     """The ``SharedWork`` key of one step from the params of id ``student``:
     what it reads, the learning rate, the dropout seed, the source draw and
-    what the target draw reads. ``target`` is the id of the sampling
-    distribution's weights (``SharedWork.weights_id``), or None for a step
-    with no target term (warm-up, or no regularizer hook). The weights
-    and the sampling stream's position, which the student's chain fixes,
-    make the draw, so equal weights make one step and equal draws from
-    unequal weights two."""
+    what the target draw reads. ``target`` is the bytes of the sampling
+    distribution's weights, or None for a step with no target term
+    (warm-up, or no regularizer hook). The weights and the sampling
+    stream's position, which the student's chain fixes, make the draw, so
+    equal weights make one step and equal draws from unequal weights two."""
     return ("step", student, lr, dropout_seed, source.tobytes(), flips, target)
 
 
@@ -245,22 +237,25 @@ def run_experiment(
     # kl-variance as the diagnostic default under uniform sampling
     criterion = cfg.sampler if cfg.sampler != "uniform" else "kl-variance"
 
-    run_iter = (cfg.warmup_epochs + cfg.epochs) * cfg.iters_per_epoch
     # the decay horizon may extend past the run so the last epochs still move
-    total_iter = int(round(cfg.lr_horizon_scale * run_iter))
+    total_iter = cfg.decay_horizon()
     step = 0
     config_echo = experiment_config_to_dict(cfg)
     config_echo["variant"] = variant
 
     def sgd_step(
-        student: int, params: np.ndarray, lr: float, dist: sampler.SampleDistribution | None
+        student: int,
+        params: np.ndarray,
+        lr: float,
+        dist: sampler.SampleDistribution | None,
+        weights: bytes | None = None,
     ) -> tuple[int, np.ndarray]:
         """The id and params of one step from ``params`` (id ``student``) on
-        a uniformly drawn source batch, plus the regularizer term of a
-        ``dist``-drawn target batch (none in warm-up, ``dist`` None, or
-        without a hook, ``reg`` None). The draws are made even when the step
-        is shared or has no target term, so both RNG streams advance as if
-        it were computed here."""
+        a uniformly drawn source batch, plus the regularizer term of a target
+        batch drawn from ``dist``, of weights' bytes ``weights`` (none in
+        warm-up, ``dist`` None, or without a hook, ``reg`` None). The draws
+        are made even when the step is shared or has no target term, so
+        both RNG streams advance as if it were computed here."""
         source = sampling_rng.integers(0, n_source, cfg.batch_size)
         flips = tuple(cfg.horizontal_flip and sampling_rng.random() < 0.5 for _ in source)
         target = None if dist is None else sampler.draw(dist, sampling_rng, cfg.batch_size)
@@ -277,37 +272,36 @@ def run_experiment(
             term = None if target is None else reg(params, data.target_images[target])
             return model.grad_step(params, images, labels, lr, dropout_seed=seed, term=term)[0]
 
-        drawn_from = None if target is None else work.weights_id(dist.weights)
-        how = step_how(student, lr, seed, source, flips, drawn_from)
-        return work.get(how, compute, keep=work.keep_steps)
+        how = step_how(student, lr, seed, source, flips, None if target is None else weights)
+        return work.lineage(*how), work.get(how, compute, keep=work.keep_steps)
 
-    def confusion(made: int, params: np.ndarray, split: str) -> np.ndarray:
-        """The confusion matrix of ``params``, of id ``made``, on ``split``:
-        "source", or "target" against the held-out labels."""
+    def confusion(params: np.ndarray, made: bytes, split: str) -> np.ndarray:
+        """The confusion matrix of ``params``, of bytes ``made``, on
+        ``split``: "source", or "target" against the held-out labels."""
         images, labels = (
             (data.source_images, data.source_labels)
             if split == "source"
             else (data.target_images, data.target_labels_heldout)
         )
-        how = ("confusion", made, split)
-        return work.get(how, lambda: dataset_confusion(model, params, images, labels))[1]
+        how = ("confusion", student, made, split)
+        return work.get(how, lambda: dataset_confusion(model, params, images, labels))
 
-    def score(aggregate: int, params: np.ndarray) -> np.ndarray:
-        """The score values on the target images of ``params``, of id
-        ``aggregate``. A scoring pass also files their target confusion,
-        from its fused predictions."""
+    def score(params: np.ndarray, made: bytes) -> np.ndarray:
+        """The score values on the target images of ``params``, of bytes
+        ``made``. A scoring pass also files their target confusion, from its
+        fused predictions."""
 
         def compute() -> np.ndarray:
             values, predicted = score_dataset(model, params, data.target_images, criterion)
             work.get(
-                ("confusion", aggregate, "target"),
+                ("confusion", student, made, "target"),
                 lambda: confusion_matrix(
                     predicted, data.target_labels_heldout, model.config.classes
                 ),
             )
             return values
 
-        return work.get(("score", aggregate, criterion), compute)[1]
+        return work.get(("score", student, made, criterion), compute)
 
     rows: list[EpochRow] = []
     # what a divergence persists, (student, aggregate, its count): kept after
@@ -328,29 +322,26 @@ def run_experiment(
 
         for t in range(1, cfg.epochs + 1):
             dist_trace.append(dist.weights)
+            # one copy of the weights' bytes for every step key of the epoch
+            weights = dist.weights.tobytes()
             for i in range(cfg.iters_per_epoch):
                 where = f"epoch {t} iteration {i + 1}"
                 lr = poly_lr(step, total_iter, cfg.lr0)
-                student, params = sgd_step(student, params, lr, dist)
+                student, params = sgd_step(student, params, lr, dist, weights)
                 agg.after_step(params)
                 step += 1
 
             where = f"epoch {t} evaluation"
+            # each params' bytes are taken once per epoch, for every pass's key
+            student_made = params.tobytes()
             aggregate_params = agg.after_epoch(
-                params, lambda: 1.0 - pixel_accuracy(confusion(student, params, "target"))
+                params,
+                lambda: 1.0 - pixel_accuracy(confusion(params, student_made, "target")),
             )
-            # the aggregate is the student exactly when the policy hands back
-            # the snapshot's own array
-            aggregate = (
-                student
-                if aggregate_params is params
-                else work.lineage(
-                    "aggregate", cfg.aggregation, cfg.momentum, cfg.ema_decay, student
-                )
-            )
+            aggregate_made = aggregate_params.tobytes()
 
             # distribution phase: aggregate held fixed while D is refreshed
-            scores = score(aggregate, aggregate_params)
+            scores = score(aggregate_params, aggregate_made)
             used_entropy = float(entropy(dist.weights))
             mean_score = float(np.mean(scores))
             if cfg.sampler != "uniform":
@@ -362,9 +353,9 @@ def run_experiment(
                     iter=step,
                     variant=variant,
                     lr=lr,
-                    student_src_miou=miou(confusion(student, params, "source")),
-                    student_tgt_miou=miou(confusion(student, params, "target")),
-                    aggregate_tgt_miou=miou(confusion(aggregate, aggregate_params, "target")),
+                    student_src_miou=miou(confusion(params, student_made, "source")),
+                    student_tgt_miou=miou(confusion(params, student_made, "target")),
+                    aggregate_tgt_miou=miou(confusion(aggregate_params, aggregate_made, "target")),
                     dist_entropy=used_entropy,
                     mean_vkl=mean_score,
                 )

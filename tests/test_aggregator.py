@@ -201,7 +201,7 @@ class TestAggregator:
 
     @pytest.mark.parametrize("policy", AGGREGATIONS)
     def test_hands_back_the_snapshot_itself_only_when_it_is_the_aggregate(self, policy):
-        # the harness gives the aggregate the student's id on this identity
+        # an aggregate that is the snapshot is held without a copy
         rng = np.random.default_rng(12)
         agg = Aggregator(policy, rng.normal(0, 1, 6), momentum=0.7, ema_decay=0.9)
         held = []

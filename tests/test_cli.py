@@ -65,6 +65,16 @@ def config_path(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def overflowing_noise_path(tmp_path, config_path):
+    """An 8x8 config of 4+4 images whose noise overflows the images."""
+    cfg = json.loads(Path(config_path).read_text())
+    shift = {**cfg["shift"], "source_count": 4, "target_count": 4, "feature_noise_std": 1e308}
+    path = tmp_path / "noise.json"
+    path.write_text(json.dumps({**cfg, "shift": shift}))
+    return str(path)
+
+
 class TestRun:
     def test_writes_artifacts(self, tmp_path, config_path, capsys):
         out = str(tmp_path / "results")
@@ -254,6 +264,33 @@ class TestRun:
         assert "config error: softmax_temperature 1e-310 is too small" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    @pytest.mark.parametrize("change", [{"lr_horizon_scale": 1e308}, {"iters_per_epoch": 10**400}])
+    def test_overflowing_decay_horizon_exits_2(
+        self, tmp_path, config_path, capsys, command, change
+    ):
+        # both used to exit 1 with an OverflowError traceback
+        cfg = json.loads(Path(config_path).read_text())
+        path = tmp_path / "horizon.json"
+        path.write_text(json.dumps({**cfg, **change}))
+        out = tmp_path / "results"
+        seeds = ["--seeds", "1"] if command == "ablate" else []
+        argv = [command, "--config", str(path), *seeds, "--out", str(out)]
+        assert cli_main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: decay horizon")
+        assert not out.exists()
+
+    def test_overflowing_noise_exits_2(self, tmp_path, overflowing_noise_path, capsys):
+        # used to train on non-finite images and exit 3 as a divergence,
+        # persisting a student, an aggregate and a report
+        out = tmp_path / "results"
+        argv = ["run", "--config", overflowing_noise_path, "--out", str(out)]
+        assert cli_main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: generated images are not finite")
+        assert not out.exists()
+
     def test_smallest_accepted_temperature_completes(self, tmp_path, config_path):
         cfg = json.loads(Path(config_path).read_text())
 
@@ -441,6 +478,15 @@ class TestGenData:
         argv = ["gen-data", "--config", config_path, "--seed", "-1", "--out", str(out)]
         assert cli_main(argv) == EXIT_CONFIG
         assert "config error: seed must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_noise_exits_2(self, tmp_path, overflowing_noise_path, capsys):
+        # used to exit 0 and export non-finite images that `run --data` refuses
+        out = tmp_path / "data"
+        argv = ["gen-data", "--config", overflowing_noise_path, "--out", str(out)]
+        assert cli_main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: generated images are not finite")
         assert not out.exists()
 
 

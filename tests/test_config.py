@@ -8,8 +8,12 @@ import typing
 
 import pytest
 
+from boostadapt import aggregator, regularizers, uncertainty
 from boostadapt.config import (
     ABLATION_VARIANTS,
+    AGGREGATIONS,
+    REGULARIZERS,
+    SAMPLERS,
     VARIANT_PRESETS,
     ExperimentConfig,
     apply_variant,
@@ -49,6 +53,12 @@ class TestValidation:
         assert cfg.aggregation == "running-mean"
         assert cfg.model_config().classes == cfg.shift.classes
 
+    def test_name_lists_are_their_implementations(self):
+        assert AGGREGATIONS is aggregator.AGGREGATIONS
+        assert SAMPLERS == (*uncertainty.CRITERIA, "uniform")
+        assert SAMPLERS == ("kl-variance", "entropy", "uniform")
+        assert REGULARIZERS == ("none", *regularizers.KINDS)
+
     def test_bad_values_rejected(self):
         for kwargs in (
             dict(epochs=0),
@@ -64,6 +74,9 @@ class TestValidation:
             dict(regularizer="l2"),
             dict(lr_horizon_scale=0.5),
             dict(lr_horizon_scale=float("inf")),
+            # the horizon, lr_horizon_scale times the run length, overflows
+            dict(lr_horizon_scale=1e308),
+            dict(iters_per_epoch=10**400),
             dict(seed=-1),
         ):
             with pytest.raises(ConfigError):

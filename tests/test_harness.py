@@ -852,7 +852,7 @@ class TestSharedWork:
             dropout_seed=7,
             source=np.array([0, 1]),
             flips=(False, False),
-            target=work.weights_id(uniform.weights),
+            target=uniform.weights.tobytes(),
         )
         changes = [
             {},
@@ -861,25 +861,26 @@ class TestSharedWork:
             {"dropout_seed": 8},
             {"source": np.array([1, 0])},
             {"flips": (True, False)},
-            {"target": work.weights_id(tilted.weights)},
+            {"target": tilted.weights.tobytes()},
             {"target": None},
         ]
         for change in changes:
             work.get(step_how(**{**base, **change}), compute)
         assert len(computed) == len(changes)
-        made, params = work.get(step_how(**base), compute)
+        params = work.get(step_how(**base), compute)
         assert params is computed[0]
         assert len(computed) == len(changes)
         # every distinct step makes a distinct id
-        ids = {work.get(step_how(**{**base, **c}), compute)[0] for c in changes}
+        ids = {work.lineage(*step_how(**{**base, **c})) for c in changes}
         assert len(ids) == len(changes)
 
         # equal weights are one distribution, bit for bit, whatever array
         # holds them; equal draws from the two distributions stay two steps
-        assert work.weights_id(uniform.weights.copy()) == base["target"]
+        other = {"target": uniform.weights.copy().tobytes()}
+        assert step_how(**{**base, **other}) == step_how(**base)
         draws = [sampler_mod.draw(d, np.random.default_rng(3), 2) for d in (uniform, tilted)]
         assert np.array_equal(*draws)
-        assert work.weights_id(tilted.weights) != base["target"]
+        assert step_how(**{**base, "target": tilted.weights.tobytes()}) != step_how(**base)
 
     def test_failed_step_stores_nothing(self):
         work = SharedWork(small_experiment_config())
@@ -891,8 +892,8 @@ class TestSharedWork:
         with pytest.raises(DivergenceError):
             work.get(how, diverge)
         assert work.values == {}
-        made, params = work.get(how, lambda: np.ones(3))
-        assert work.values == {made: params}
+        params = work.get(how, lambda: np.ones(3))
+        assert work.values == {how: params}
 
     @pytest.mark.parametrize(
         "first, second",
@@ -962,6 +963,35 @@ class TestSharedWork:
         # hinge on near-uniform draws happening to agree
         assert alike_draws
 
+    def test_bit_equal_aggregates_of_one_chain_are_scored_once(self, monkeypatch):
+        # both cells train one chain, and at epoch 2 a momentum of 0.5 folds
+        # the two snapshots into the running mean's bits: 2 scoring passes
+        cfg = small_experiment_config(epochs=2)
+        variants = ["full-variance", "momentum-0.5"]
+        alone = [
+            run_experiment(apply_variant(cfg, v), variant_label=v).report.summary(cfg.eval_last_k)
+            for v in variants
+        ]
+        spy = RecordingScorer.every_run(monkeypatch)
+        rows = run_ablation_suite(cfg, seeds=[cfg.seed], variants=variants)
+        assert len(spy.criteria) == 2
+        assert rows == alone
+
+    def test_bit_equal_students_of_two_chains_are_scored_apart(self, monkeypatch):
+        # with no regularizer weight the target draw moves no bit, so the
+        # two cells' students agree bit for bit; from epoch 2 on they are
+        # drawn from unequal distributions, so they are two chains whose
+        # eval passes are not shared whatever their bits
+        cfg = small_experiment_config(epochs=3, regularizer_weight=0.0)
+        variants = ["baseline", "sampler-only"]
+        base, tilted = (run_experiment(apply_variant(cfg, v)) for v in variants)
+        assert all(map(np.array_equal, base.snapshots, tilted.snapshots))
+        assert not np.array_equal(base.distributions[-1], tilted.distributions[-1])
+        spy = RecordingScorer.every_run(monkeypatch)
+        run_ablation_suite(cfg, seeds=[cfg.seed], variants=variants)
+        # epoch 1's shared pass, then one per cell at epochs 2 and 3
+        assert len(spy.criteria) == 5
+
     def test_a_none_seed_computes_one_runs_steps(self, monkeypatch):
         # no step has a target term, and every cell draws its source
         # batches and dropout seeds alike, so all 9 cells share steps
@@ -990,7 +1020,7 @@ class TestSharedWork:
         work = SharedWork(cfg)
         how = step_how(0, 0.1, 7, np.array([0, 1]), (False, False), None)
         made = work.get(how, lambda: np.ones(3), keep=work.keep_steps)
-        assert work.values == {} and not made[1].flags.writeable
+        assert work.values == {} and not made.flags.writeable
 
     def test_scope_mismatch_rejected(self):
         cfg = small_experiment_config(epochs=2)
@@ -1018,8 +1048,7 @@ class TestSharedWork:
         run_experiment(cfg)
         [work] = works
         assert not work.keep_steps
-        kept = {how[0] for how, made in work._ids.items() if made in work.values}
-        assert kept == {"score", "confusion"}
+        assert {how[0] for how in work.values} == {"score", "confusion"}
 
     def test_every_preset_keeps_the_scope(self):
         # the suite gives all the cells of one seed one pair and one SharedWork
